@@ -10,14 +10,13 @@ from .attacks import (
     AttackConfig,
     Mask,
     Perturbation,
-    UniversalPerturbation,
     apply_perturbation,
     normalize_gradient,
     pgd_step,
     project,
     train_universal_perturbation,
 )
-from .audio import ClassBank, LogMelExtractor, log_mel_spectrogram, synth_clip
+from .audio import ClassBank, log_mel_spectrogram, synth_clip
 from .autodiff import Tape, Tensor
 from .config import ExperimentConfig, parse_config, serialize_config
 from .errors import (
@@ -31,13 +30,10 @@ from .errors import (
 )
 from .metrics import EvalReport, average_precision, compare_reports, d_prime, evaluate, roc_auc
 from .models import (
-    CsnClassifier,
     CsnConfig,
     CsnModel,
     FusionStage,
-    ResnetClassifier,
     ResnetModel,
-    VideoEncoder,
     load_checkpoint,
     save_checkpoint,
     train_model,

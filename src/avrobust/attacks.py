@@ -24,17 +24,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import BaseEstimator, check_binary_targets
+from .base import check_binary_targets
 from .container import atomic_write_bytes, read_feature_file, tensor_bytes
 from .errors import ConfigurationError, DimensionError, FormatError, ValidationError
 
 __all__ = [
     "NORMS", "project", "normalize_gradient",
     "Mask", "AttackConfig", "Perturbation",
-    "pgd_step", "multimodal_pgd_step",
-    "train_universal_perturbation", "apply_perturbation",
+    "pgd_step", "train_universal_perturbation", "apply_perturbation",
     "save_perturbation", "load_perturbation",
-    "UniversalPerturbation",
 ]
 
 NORMS = ("l1", "l2", "linf")
@@ -193,17 +191,6 @@ def pgd_step(delta, grad, cfg):
     return out
 
 
-def multimodal_pgd_step(delta_audio, grad_audio, cfg):
-    """Identical update rule to :func:`pgd_step`.
-
-    The distinction is the gradient's provenance: ``grad_audio`` must be
-    computed through the fused model with the video input held
-    constant, so the perturbation touches the video pathway only via
-    the model's output.
-    """
-    return pgd_step(delta_audio, grad_audio, cfg)
-
-
 @dataclass
 class Perturbation:
     """A universal delta plus the constraints and provenance it was trained under."""
@@ -322,48 +309,3 @@ def load_perturbation(path):
     prov = {"manifest_hash": sidecar.get("manifest_hash"),
             "steps_run": sidecar["steps"], "seed": sidecar.get("seed", 0)}
     return Perturbation(delta=delta, config=cfg, provenance=prov).validate()
-
-
-class UniversalPerturbation(BaseEstimator):
-    """Estimator-style wrapper: fit learns the delta, transform applies it.
-
-    ``fit(model, X, y, video=...)`` trains the universal delta against a
-    trained victim model; ``transform(X)`` adds it to every clip.
-    """
-
-    def __init__(self, norm="l2", epsilon=0.3, alpha=0.01, steps=None,
-                 freq_mask=None, time_mask=None, seed=0, direction="ascent",
-                 linf_normalize="sign", random_start=False, batch_size=32):
-        self.norm = norm
-        self.epsilon = epsilon
-        self.alpha = alpha
-        self.steps = steps
-        self.freq_mask = freq_mask
-        self.time_mask = time_mask
-        self.seed = seed
-        self.direction = direction
-        self.linf_normalize = linf_normalize
-        self.random_start = random_start
-        self.batch_size = batch_size
-
-    def _config(self):
-        mask = None
-        if self.freq_mask is not None or self.time_mask is not None:
-            mask = Mask(freq=None if self.freq_mask is None else tuple(self.freq_mask),
-                        time=None if self.time_mask is None else tuple(self.time_mask))
-        return AttackConfig(norm=self.norm, epsilon=self.epsilon, alpha=self.alpha,
-                            steps=self.steps, mask=mask, seed=self.seed,
-                            direction=self.direction,
-                            linf_normalize=self.linf_normalize,
-                            random_start=self.random_start,
-                            batch_size=self.batch_size)
-
-    def fit(self, model, X, y, video=None, provenance=None):
-        self.perturbation_ = train_universal_perturbation(
-            model, X, y, self._config(), video=video, provenance=provenance)
-        self.delta_ = self.perturbation_.delta
-        self.n_steps_ = self.perturbation_.provenance["steps_run"]
-        return self
-
-    def transform(self, X):
-        return apply_perturbation(X, self.perturbation_)

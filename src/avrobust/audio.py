@@ -8,18 +8,18 @@ for a 10 s clip at 16 kHz (25 ms frames, hop == frame, no overlap).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .base import BaseEstimator, check_array
+from .base import check_array
 from .errors import ConfigurationError, ValidationError
 
 __all__ = [
     "SynthClass", "ClassBank", "default_class_bank",
     "hz_to_mel", "mel_to_hz", "mel_filterbank", "mel_bin_peaks",
-    "mel_power_spectrogram", "log_mel_spectrogram", "LogMelExtractor",
+    "mel_power_spectrogram", "log_mel_spectrogram",
     "synth_clip", "hum_bed", "make_video_surrogate",
     "band_energy_fraction", "validate_band_dominance",
 ]
@@ -102,35 +102,6 @@ def log_mel_spectrogram(samples, sample_rate=16000, frame_ms=25.0, hop_ms=25.0,
     """T x F log-mel feature matrix: natural log of mel power plus a floor."""
     return np.log(mel_power_spectrogram(samples, sample_rate, frame_ms, hop_ms,
                                         n_mels, n_fft) + floor)
-
-
-class LogMelExtractor(BaseEstimator):
-    """Stateless transformer from waveforms to log-mel feature matrices."""
-
-    def __init__(self, sample_rate=16000, frame_ms=25.0, hop_ms=25.0,
-                 n_mels=64, n_fft=1024, floor=LOG_FLOOR):
-        self.sample_rate = sample_rate
-        self.frame_ms = frame_ms
-        self.hop_ms = hop_ms
-        self.n_mels = n_mels
-        self.n_fft = n_fft
-        self.floor = floor
-
-    def fit(self, X=None, y=None):
-        return self
-
-    def transform(self, X):
-        """One 1-D waveform -> (T,F); a list of waveforms -> list of matrices."""
-        if isinstance(X, np.ndarray) and X.ndim == 1:
-            return self._one(X)
-        return [self._one(np.asarray(w)) for w in X]
-
-    def fit_transform(self, X, y=None):
-        return self.fit(X, y).transform(X)
-
-    def _one(self, w):
-        return log_mel_spectrogram(w, self.sample_rate, self.frame_ms, self.hop_ms,
-                                   self.n_mels, self.n_fft, self.floor)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "scale",
     "matmul", "reshape", "transpose", "concat", "gather_rows",
     "reduce_sum", "reduce_mean",
-    "relu", "sigmoid", "softmax", "pointwise",
+    "relu", "sigmoid", "softmax",
     "conv2d", "pool2d", "attention", "dropout",
     "bce_with_logits", "bce_on_probs",
 ]
@@ -392,17 +392,6 @@ def softmax(a):
         return (y * (g - (g * y).sum(axis=-1, keepdims=True)),)
 
     return _record(out, (a,), vjp, "softmax")
-
-
-def pointwise(a, kind):
-    """Dispatch on activation name: relu, sigmoid, or softmax_lastdim."""
-    if kind == "relu":
-        return relu(a)
-    if kind == "sigmoid":
-        return sigmoid(a)
-    if kind == "softmax_lastdim":
-        return softmax(a)
-    raise ConfigurationError(f"unknown pointwise kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -1,47 +1,15 @@
-"""Estimator base class and input validation helpers.
+"""Input validation helpers shared by the audio, model, attack and metric code.
 
-Estimators here follow the scikit-learn parameter protocol: every
-constructor argument is stored verbatim on an attribute of the same
-name, ``get_params``/``set_params`` expose them, and everything learned
-during ``fit`` lives on attributes with a trailing underscore.  That
-keeps the objects compatible with ``sklearn.base.clone`` and pipeline
-machinery without importing scikit-learn.
+``check_array`` coerces to a finite float array of a given rank;
+``check_binary_targets`` accepts only {0,1} multi-hot targets.  Both
+raise ``ValidationError`` (``DimensionError`` for a wrong rank).
 """
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-
-
-class BaseEstimator:
-    """Parameter bookkeeping shared by all estimators in this package."""
-
-    @classmethod
-    def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [n for n, p in sig.parameters.items()
-                if n != "self" and p.kind != p.VAR_KEYWORD]
-
-    def get_params(self, deep=True):
-        return {name: getattr(self, name) for name in self._param_names()}
-
-    def set_params(self, **params):
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValidationError(
-                    f"invalid parameter {name!r} for {type(self).__name__}; "
-                    f"valid parameters are {sorted(valid)}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self):
-        args = ", ".join(f"{k}={v!r}" for k, v in sorted(self.get_params().items()))
-        return f"{type(self).__name__}({args})"
 
 
 def check_array(x, name="array", ndim=None, dtype=np.float64, allow_empty=False):
@@ -62,9 +30,3 @@ def check_binary_targets(y, name="targets"):
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValidationError(f"{name} must contain only 0 and 1")
     return arr
-
-
-def check_same_shape(a, b, name_a="a", name_b="b"):
-    if a.shape != b.shape:
-        raise DimensionError(
-            f"{name_a} shape {a.shape} does not match {name_b} shape {b.shape}")

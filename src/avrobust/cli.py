@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import ExperimentConfig, parse_config
+from .config import ExperimentConfig, _parse_floats, _parse_range, parse_config
 from .errors import ConfigurationError, FormatError, ValidationError
 
 __all__ = ["main"]
@@ -24,13 +24,12 @@ EXIT_IO = 3
 EXIT_VALIDATION = 4
 
 
-def _parse_mask(raw):
-    if raw is None or raw.lower() == "none":
-        return None
-    lo, sep, hi = raw.partition(":")
-    if not sep:
-        raise ConfigurationError(f"mask must be lo:hi, got {raw!r}")
-    return (int(lo), int(hi))
+def _parse_option(flag, parse, raw):
+    """Parse one option value with the config file's parser."""
+    try:
+        return parse(raw)
+    except ValueError as exc:
+        raise ConfigurationError(f"{flag}: {exc}") from exc
 
 
 def _load_config(args):
@@ -55,10 +54,9 @@ def _load_config(args):
         attack_over["alpha"] = args.alpha
     if getattr(args, "steps", None) is not None:
         attack_over["steps"] = args.steps
-    if getattr(args, "freq_mask", None) is not None:
-        attack_over["freq_mask"] = _parse_mask(args.freq_mask)
-    if getattr(args, "time_mask", None) is not None:
-        attack_over["time_mask"] = _parse_mask(args.time_mask)
+    for key, flag in (("freq_mask", "--freq-mask"), ("time_mask", "--time-mask")):
+        if getattr(args, key, None) is not None:
+            attack_over[key] = _parse_option(flag, _parse_range, getattr(args, key))
     model_over = {}
     if getattr(args, "fusion", None):
         model_over["fusion"] = args.fusion
@@ -163,13 +161,12 @@ def _run(args):
         return EXIT_OK
 
     if args.command == "sweep":
-        masks = None
+        masks = eps_list = None
         if args.masks is not None:
-            masks = [_parse_mask(m.strip()) for m in args.masks.split(",") if m.strip()] \
-                if args.masks.strip() else []
-        eps_list = None
+            masks = [_parse_option("--masks", _parse_range, m.strip())
+                     for m in args.masks.split(",") if m.strip()]
         if args.eps_list is not None:
-            eps_list = [float(e) for e in args.eps_list.split(",") if e.strip()]
+            eps_list = _parse_option("--eps-list", _parse_floats, args.eps_list)
         fusions = args.fusions.split(",") if args.fusions else None
         arches = args.arches.split(",") if args.arches else None
         plan = pipeline.build_sweep_plan(args.axis, config, masks=masks,

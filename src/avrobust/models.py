@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import BaseEstimator, check_array, check_binary_targets
+from .base import check_binary_targets
 from .container import atomic_write_bytes, tensor_bytes, tensor_from_bytes
 from .errors import (
     ConfigurationError,
@@ -40,10 +40,8 @@ from .optim import Adam
 __all__ = [
     "FusionStage", "CsnConfig", "CsnModel",
     "ResnetConfig", "ResnetModel",
-    "R21dConfig", "VideoEncoder",
     "train_model", "TrainResult",
     "save_checkpoint", "load_checkpoint",
-    "CsnClassifier", "ResnetClassifier",
 ]
 
 
@@ -461,76 +459,6 @@ class ResnetModel(_ModelBase):
 
 
 # ---------------------------------------------------------------------------
-# R(2+1)D video window encoder
-
-
-@dataclass(frozen=True)
-class R21dConfig:
-    window: int = 8            # k frames per window
-    frame_h: int = 16
-    frame_w: int = 16
-    spatial_channels: int = 8
-    temporal_channels: int = 16
-    out_dim: int = 32          # H
-
-
-class VideoEncoder(_ModelBase):
-    """Factorized spatiotemporal encoder: full-frame spatial convolution
-    per frame, then a k-wide temporal convolution collapsing the window."""
-
-    def __init__(self, config: R21dConfig, seed=0):
-        self.config = config
-        self.params = {}
-        rng = np.random.default_rng(seed)
-        hw = config.frame_h * config.frame_w
-        cs, ct = config.spatial_channels, config.temporal_channels
-        self.params["spatial.w"] = _glorot(rng, (hw, cs), hw, cs)
-        self.params["spatial.b"] = _zeros((cs,))
-        self.params["temporal.w"] = _glorot(rng, (config.window * cs, ct),
-                                            config.window * cs, ct)
-        self.params["temporal.b"] = _zeros((ct,))
-        self.params["head.w"] = _glorot(rng, (ct, config.out_dim), ct, config.out_dim)
-        self.params["head.b"] = _zeros((config.out_dim,))
-
-    def r21d_block(self, clip):
-        """One k-frame window (k,h,w) -> embedding (H,)."""
-        cfg = self.config
-        if clip.shape != (cfg.window, cfg.frame_h, cfg.frame_w):
-            raise DimensionError(
-                f"window shape {clip.shape} does not match configured "
-                f"{(cfg.window, cfg.frame_h, cfg.frame_w)}")
-        frames = ad.reshape(clip, (cfg.window, cfg.frame_h * cfg.frame_w))
-        spatial = ad.relu(ad.add(ad.matmul(frames, self.params["spatial.w"]),
-                                 self.params["spatial.b"]))
-        flat = ad.reshape(spatial, (1, cfg.window * cfg.spatial_channels))
-        temporal = ad.relu(ad.add(ad.matmul(flat, self.params["temporal.w"]),
-                                  self.params["temporal.b"]))
-        out = ad.add(ad.matmul(temporal, self.params["head.w"]), self.params["head.b"])
-        return ad.reshape(out, (cfg.out_dim,))
-
-    def encode(self, clip):
-        """(M,h,w) clip -> (H, N) with N = ceil(M/k); last window zero-padded."""
-        cfg = self.config
-        clip = clip if isinstance(clip, Tensor) else Tensor(clip)
-        m = clip.shape[0]
-        if m < 1:
-            raise DimensionError("clip must contain at least one frame")
-        n = -(-m // cfg.window)
-        cols = []
-        for w_idx in range(n):
-            start = w_idx * cfg.window
-            stop = min(start + cfg.window, m)
-            idx = list(range(start, stop))
-            window = ad.gather_rows(ad.reshape(clip, (m, cfg.frame_h * cfg.frame_w)), idx)
-            if stop - start < cfg.window:
-                pad = ad.scale(ad.gather_rows(window, [0] * (cfg.window - (stop - start))), 0.0)
-                window = ad.concat([window, pad], axis=0)
-            window = ad.reshape(window, (cfg.window, cfg.frame_h, cfg.frame_w))
-            cols.append(ad.reshape(self.r21d_block(window), (cfg.out_dim, 1)))
-        return cols[0] if n == 1 else ad.concat(cols, axis=1)
-
-
-# ---------------------------------------------------------------------------
 # training
 
 
@@ -539,6 +467,7 @@ class TrainResult:
     loss_curve: list = field(default_factory=list)    # (step, loss) pairs
     steps: int = 0
     balance_log: list = field(default_factory=list)   # (step, |g_audio|, |g_video|)
+    optimizer: Adam | None = None                     # the trained Adam, for checkpoints
 
 
 def _split_modality(named_grads):
@@ -573,14 +502,15 @@ def balance_gradients(named_grads):
 
 
 def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
-                lr=1e-3, seed=0, balance=True, optimizer=None, start_step=0,
-                log_every=10):
-    """Minimize multi-label BCE with Adam over seeded shuffled batches.
+                lr=1e-3, seed=0):
+    """Minimize multi-label BCE with a fresh Adam over seeded shuffled batches.
 
-    For fusion models each modality's parameter-gradient block is
-    rescaled to a common L2 norm before every update.  Deterministic
-    given (model init, data, seed): shuffling and dropout draw from
-    seeds derived from ``seed`` and the step counter.
+    Fits the model's input normalization first.  For fusion models each
+    modality's parameter-gradient block is rescaled to a common L2 norm
+    before every update.  The loss is logged every 10 steps and at the
+    last one.  Deterministic given (model init, data, seed): shuffling
+    and dropout draw from seeds derived from ``seed`` and the step
+    counter.
     """
     audio = np.asarray(audio)
     labels = check_binary_targets(labels)
@@ -590,14 +520,12 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
     is_fusion = isinstance(model, CsnModel) and model.config.fusion != FusionStage.AUDIO_ONLY
     if is_fusion and video is None:
         raise ValidationError("fusion model training requires video features")
-    opt = optimizer or Adam(model.params, lr=lr)
-    if start_step == 0:
-        model.fit_input_norm(audio)
-    result = TrainResult()
+    opt = Adam(model.params, lr=lr)
+    model.fit_input_norm(audio)
+    result = TrainResult(optimizer=opt)
     rng = np.random.default_rng(_derive_seed(seed, 0xD5))
-    step = start_step
     order = []
-    while step < start_step + steps:
+    for step in range(steps):
         if not order:
             order = list(rng.permutation(n))
         take = min(batch_size, len(order))
@@ -608,15 +536,12 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
         loss, grads = model.loss_and_param_grads(
             batch_audio, batch_video, labels[idx], training=True,
             seed_base=_derive_seed(seed, step + 1))
-        if balance and is_fusion:
-            norms = balance_gradients(grads)
-            if norms is not None:
-                result.balance_log.append((step, norms[0], norms[1]))
+        if is_fusion:
+            result.balance_log.append((step, *balance_gradients(grads)))
         opt.step(grads)
-        step += 1
-        if step % log_every == 0 or step == start_step + steps:
-            result.loss_curve.append((step, loss))
-    result.steps = step
+        if (step + 1) % 10 == 0 or step + 1 == steps:
+            result.loss_curve.append((step + 1, loss))
+    result.steps = steps
     return result
 
 
@@ -665,9 +590,10 @@ def save_checkpoint(path, model, optimizer=None, step=0, rng_state=None):
 
 
 def load_checkpoint(path, seed=0):
-    """Rebuild a model from a checkpoint; returns (model, index dict).
+    """Rebuild a model from a checkpoint; returns (model, index, optimizer).
 
-    Every tensor is validated against the shape the rebuilt model
+    ``index`` is the JSON index dict; ``optimizer`` is the restored Adam,
+    or None when the checkpoint was saved without one.  Every tensor is validated against the shape the rebuilt model
     expects; a mismatch (e.g. a different class count) raises an error
     naming the offending tensor.
     """
@@ -717,101 +643,3 @@ def load_checkpoint(path, seed=0):
                          beta2=meta["beta2"], eps=meta["eps"])
         optimizer.load_state_arrays(arrays, t=meta["t"])
     return model, index, optimizer
-
-
-# ---------------------------------------------------------------------------
-# estimators
-
-
-class CsnClassifier(BaseEstimator):
-    """Multi-label audio(/visual) tagger with a fit/predict interface.
-
-    ``X`` is a (B,T,F) array of log-mel features; fusion models take the
-    (B,H,N) video features through the ``video`` keyword of ``fit`` and
-    the predict methods.
-    """
-
-    def __init__(self, fusion="audio_only", conv_channels=(6, 12, 16, 16),
-                 pool_time=(4, 1, 1, 1), pool_freq=(2, 2, 2, 2),
-                 transformer_blocks=2, heads=4, width=64, ff_mult=2,
-                 dropout=0.25, early_video_bins=16, epochs=10, batch_size=32,
-                 lr=1e-3, seed=0):
-        self.fusion = fusion
-        self.conv_channels = conv_channels
-        self.pool_time = pool_time
-        self.pool_freq = pool_freq
-        self.transformer_blocks = transformer_blocks
-        self.heads = heads
-        self.width = width
-        self.ff_mult = ff_mult
-        self.dropout = dropout
-        self.early_video_bins = early_video_bins
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-
-    def _build_config(self, n_mels, n_classes, video_dim):
-        return CsnConfig(
-            conv_channels=tuple(self.conv_channels), pool_time=tuple(self.pool_time),
-            pool_freq=tuple(self.pool_freq), transformer_blocks=self.transformer_blocks,
-            heads=self.heads, width=self.width, ff_mult=self.ff_mult,
-            classes=n_classes, dropout=self.dropout, fusion=FusionStage(self.fusion),
-            n_mels=n_mels, video_dim=video_dim, early_video_bins=self.early_video_bins)
-
-    def fit(self, X, y, video=None):
-        X = check_array(X, "features", ndim=3, dtype=np.float32)
-        y = check_binary_targets(y)
-        if y.ndim != 2 or y.shape[0] != X.shape[0]:
-            raise ValidationError("y must be a (clips, classes) multi-hot matrix")
-        video_dim = 1 if video is None else np.asarray(video).shape[1]
-        config = self._build_config(X.shape[2], y.shape[1], video_dim)
-        self.model_ = CsnModel(config, seed=self.seed)
-        steps = self.epochs * max(1, -(-X.shape[0] // self.batch_size))
-        result = train_model(self.model_, X, y, video=video, steps=steps,
-                             batch_size=self.batch_size, lr=self.lr, seed=self.seed)
-        self.loss_curve_ = result.loss_curve
-        self.classes_ = np.arange(y.shape[1])
-        return self
-
-    def predict_proba(self, X, video=None):
-        return self.model_.predict_proba(np.asarray(X, dtype=np.float64), video)
-
-    def predict(self, X, video=None, threshold=0.5):
-        return (self.predict_proba(X, video) >= threshold).astype(np.int64)
-
-
-class ResnetClassifier(BaseEstimator):
-    """Residual-convolution baseline with the same interface (audio only)."""
-
-    def __init__(self, stem_channels=12, blocks=2, pool_time=(4, 1, 1),
-                 pool_freq=(2, 2, 2), epochs=10, batch_size=32, lr=1e-3, seed=0):
-        self.stem_channels = stem_channels
-        self.blocks = blocks
-        self.pool_time = pool_time
-        self.pool_freq = pool_freq
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.lr = lr
-        self.seed = seed
-
-    def fit(self, X, y, video=None):
-        X = check_array(X, "features", ndim=3, dtype=np.float32)
-        y = check_binary_targets(y)
-        config = ResnetConfig(
-            stem_channels=self.stem_channels, blocks=self.blocks,
-            pool_time=tuple(self.pool_time), pool_freq=tuple(self.pool_freq),
-            classes=y.shape[1], n_mels=X.shape[2])
-        self.model_ = ResnetModel(config, seed=self.seed)
-        steps = self.epochs * max(1, -(-X.shape[0] // self.batch_size))
-        result = train_model(self.model_, X, y, steps=steps,
-                             batch_size=self.batch_size, lr=self.lr, seed=self.seed)
-        self.loss_curve_ = result.loss_curve
-        self.classes_ = np.arange(y.shape[1])
-        return self
-
-    def predict_proba(self, X, video=None):
-        return self.model_.predict_proba(np.asarray(X, dtype=np.float64))
-
-    def predict(self, X, video=None, threshold=0.5):
-        return (self.predict_proba(X) >= threshold).astype(np.int64)

@@ -33,7 +33,7 @@ from . import audio as au
 from . import attacks as atk
 from . import metrics as mx
 from . import models as M
-from .config import ExperimentConfig, SweepPlan, serialize_config
+from .config import SweepPlan, serialize_config
 from .container import (
     ClipRecord,
     atomic_write_bytes,
@@ -42,12 +42,12 @@ from .container import (
     write_feature_file,
     write_manifest,
 )
-from .errors import ValidationError
-from .optim import Adam
+from .errors import AvrobustError, ValidationError
+from .models import _derive_seed
 
 __all__ = [
     "ArrayDataset", "build_class_bank", "generate_dataset",
-    "run_synth", "load_split", "run_train", "run_attack", "run_eval",
+    "run_synth", "load_split", "train_in_memory", "run_train", "run_attack", "run_eval",
     "run_report", "build_sweep_plan", "run_sweep", "file_sha256",
 ]
 
@@ -65,11 +65,6 @@ def file_sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _derive(*parts):
-    return int(np.random.SeedSequence([int(p) & 0xFFFFFFFF for p in parts])
-               .generate_state(1, np.uint32)[0])
-
-
 def build_class_bank(ds):
     timbres = tuple(t.strip() for t in ds.timbres.split(",") if t.strip())
     return au.default_class_bank(
@@ -80,8 +75,8 @@ def build_class_bank(ds):
 
 def _clip_arrays(ds, bank, split, index):
     """Deterministically synthesize one clip's features, video, and labels."""
-    seed = _derive(ds.seed, 0 if split == "train" else 1, index)
-    rng = np.random.default_rng(_derive(seed, 17))
+    seed = _derive_seed(ds.seed, 0 if split == "train" else 1, index)
+    rng = np.random.default_rng(_derive_seed(seed, 17))
     n_labels = int(rng.integers(1, ds.max_labels + 1))
     class_set = sorted(rng.choice(ds.classes, size=n_labels, replace=False).tolist())
     wave, labels = au.synth_clip(
@@ -89,11 +84,12 @@ def _clip_arrays(ds, bank, split, index):
         events_range=(1, ds.events_max), dur_range=(ds.dur_lo, ds.dur_hi),
         amp_range=(ds.amp_lo, ds.amp_hi), amp_shape=ds.amp_shape,
         noise_floor=ds.noise_floor,
-        hum_amp=ds.hum_amp, hum_seed=_derive(ds.seed, 31))
+        hum_amp=ds.hum_amp, hum_seed=_derive_seed(ds.seed, 31))
     feats = au.log_mel_spectrogram(wave, sample_rate=ds.sample_rate).astype(np.float32)
     video = au.make_video_surrogate(
         labels, ds.video_dim, ds.video_windows, ds.video_noise,
-        seed=_derive(seed, 23), prototype_seed=_derive(ds.seed, 29)).astype(np.float32)
+        seed=_derive_seed(seed, 23),
+        prototype_seed=_derive_seed(ds.seed, 29)).astype(np.float32)
     return feats, video, labels, seed
 
 
@@ -191,7 +187,10 @@ def _needs_video(config):
 
 
 def train_in_memory(config, train_data):
-    """Build and train a model on an in-memory split; returns (model, result)."""
+    """Build and train a model on an in-memory split; returns (model, result).
+
+    The one training path: ``run_train`` and the sweeps go through here.
+    """
     t = config.train
     model = build_model(config, train_data.audio.shape[2], train_data.labels.shape[1])
     steps = t.epochs * max(1, math.ceil(train_data.audio.shape[0] / t.batch))
@@ -206,18 +205,11 @@ def run_train(config, workdir, out=None):
     workdir = Path(workdir)
     if not (workdir / "manifest.jsonl").exists():
         raise ValidationError(f"no manifest.jsonl under {workdir}; run synth first")
-    train_data = load_split(workdir, "train", config.dataset.classes)
-    t = config.train
-    model = build_model(config, train_data.audio.shape[2], train_data.labels.shape[1])
-    optimizer = Adam(model.params, lr=t.lr)
-    steps = t.epochs * max(1, math.ceil(train_data.audio.shape[0] / t.batch))
-    video = train_data.video if _needs_video(config) else None
-    result = M.train_model(model, train_data.audio, train_data.labels, video=video,
-                           steps=steps, batch_size=t.batch, lr=t.lr, seed=t.seed,
-                           optimizer=optimizer)
+    model, result = train_in_memory(
+        config, load_split(workdir, "train", config.dataset.classes))
     ckpt_path = Path(out) if out else workdir / "model.ckpt"
-    M.save_checkpoint(ckpt_path, model, optimizer=optimizer, step=result.steps,
-                      rng_state={"seed": t.seed, "step": result.steps})
+    M.save_checkpoint(ckpt_path, model, optimizer=result.optimizer, step=result.steps,
+                      rng_state={"seed": config.train.seed, "step": result.steps})
     curve = "step,loss\n" + "".join(f"{s},{l!r}\n" for s, l in result.loss_curve)
     atomic_write_bytes(workdir / "loss_curve.csv", curve.encode())
     return ckpt_path
@@ -346,8 +338,9 @@ def run_sweep(config, workdir, plan, out=None):
     """Run every cell, reusing checkpoints whenever the model is unchanged.
 
     Emits one CSV row per cell (plus one clean row for attack-axis
-    sweeps).  A failing cell is logged to failures.log and skipped; the
-    partial CSV is still written and the failure count returned.
+    sweeps).  A cell that raises an ``AvrobustError`` is logged to
+    failures.log and skipped; the partial CSV is still written and the
+    failures returned.  Any other exception is a bug and propagates.
     """
     workdir = Path(workdir)
     out_path = Path(out) if out else workdir / f"sweep_{plan.axis}.csv"
@@ -356,7 +349,7 @@ def run_sweep(config, workdir, plan, out=None):
     checkpoints: dict[str, Path] = {}
     reports_cache: dict[str, mx.EvalReport] = {}
 
-    def checkpoint_for(cell_config, tag):
+    def checkpoint_for(cell_config):
         key = json.dumps({"model": cell_config.model.__dict__,
                           "train": cell_config.train.__dict__}, sort_keys=True,
                          default=str)
@@ -376,11 +369,11 @@ def run_sweep(config, workdir, plan, out=None):
 
     if plan.axis in ("freq", "time", "eps") and plan.cells:
         try:
-            ckpt = checkpoint_for(config, "shared")
+            ckpt = checkpoint_for(config)
             clean = clean_report(config, ckpt)
             prefix = {"freq": "No,-,-,-", "time": "No,-,-,-", "eps": "-,-,-"}[plan.axis]
             lines.append(f"{prefix},{_report_cells(clean)}")
-        except Exception as exc:   # noqa: BLE001 - cell isolation is the contract
+        except AvrobustError as exc:
             failures.append(f"clean: {exc!r}")
 
     for label, overrides in plan.cells:
@@ -388,7 +381,7 @@ def run_sweep(config, workdir, plan, out=None):
             overrides = dict(overrides)
             attacked = overrides.pop("_attacked", True)
             cell_config = config.with_overrides(**overrides)
-            ckpt = checkpoint_for(cell_config, label)
+            ckpt = checkpoint_for(cell_config)
             if attacked:
                 tag = "_".join(str(v) for v in label.values()).replace(":", "-")
                 delta_path = run_attack(cell_config, workdir, ckpt,
@@ -409,7 +402,7 @@ def run_sweep(config, workdir, plan, out=None):
                 lines.append(f"{label['fusion']},{label['attack']},{_report_cells(report)}")
             else:
                 lines.append(f"{label['model']},{label['attack']},{_report_cells(report)}")
-        except Exception as exc:   # noqa: BLE001
+        except AvrobustError as exc:
             failures.append(f"{label}: {exc!r}")
 
     atomic_write_bytes(out_path, ("\n".join(lines) + "\n").encode())

@@ -157,14 +157,6 @@ class TestPgdStep:
         with pytest.raises(DimensionError):
             atk.pgd_step(np.zeros((2, 2)), np.zeros((3, 2)), cfg)
 
-    def test_multimodal_step_identical_rule(self):
-        cfg = atk.AttackConfig(norm="l2", epsilon=1.0, alpha=0.05)
-        rng = np.random.default_rng(5)
-        delta = rng.standard_normal((3, 3)) * 0.1
-        grad = rng.standard_normal((3, 3))
-        np.testing.assert_array_equal(atk.pgd_step(delta, grad, cfg),
-                                      atk.multimodal_pgd_step(delta, grad, cfg))
-
 
 class TestMask:
     def test_validate_bounds(self):
@@ -290,16 +282,6 @@ class TestUniversal:
         assert back.config.norm == "l2"
         assert back.config.mask == cfg.mask
         assert back.provenance["manifest_hash"] == pert.provenance["manifest_hash"]
-
-    def test_estimator_interface(self):
-        est = atk.UniversalPerturbation(norm="l2", epsilon=1.0, alpha=0.2, steps=5,
-                                        freq_mask=(0, 8), batch_size=8, seed=5)
-        est.fit(self.model, self.audio, self.labels)
-        assert est.delta_.shape == (8, 16)
-        assert np.all(est.delta_[:, 8:] == 0.0)
-        out = est.transform(self.audio)
-        assert out.shape == self.audio.shape
-        assert est.get_params()["epsilon"] == 1.0
 
 
 class TestMultimodalGradient:

@@ -83,16 +83,6 @@ class TestLogMel:
         b = audio.log_mel_spectrogram(w)
         np.testing.assert_array_equal(a, b)
 
-    def test_extractor_estimator_params(self):
-        ex = audio.LogMelExtractor(n_mels=32)
-        assert ex.get_params()["n_mels"] == 32
-        ex.set_params(n_mels=64)
-        w = np.zeros(160000)
-        out = ex.fit(None).transform(w)
-        assert out.shape == (400, 64)
-        batch = ex.transform([np.zeros(16000), np.zeros(16000)])
-        assert len(batch) == 2 and batch[0].shape == (40, 64)
-
 
 class TestSynth:
     def setup_method(self):

@@ -1,15 +1,18 @@
 """End-to-end CLI runs on a micro dataset (seconds, not minutes)."""
 
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avrobust import models as M
 from avrobust import pipeline
 from avrobust.cli import main
 from avrobust.config import parse_config
 from avrobust.container import read_feature_file
+from avrobust.errors import ValidationError
 from avrobust.metrics import EvalReport
 
 MICRO = """
@@ -58,6 +61,16 @@ def micro_workdir(tmp_path_factory):
     assert main(["synth", "--config", str(cfg_path)]) == 0
     assert main(["train", "--config", str(cfg_path)]) == 0
     return root, cfg_path
+
+
+@pytest.fixture
+def micro_copy(micro_workdir, tmp_path):
+    """A private copy of the synthesized micro workdir plus its parsed config."""
+    root, cfg_path = micro_workdir
+    workdir = tmp_path / "run"
+    shutil.copytree(root / "run", workdir)
+    config, _ = parse_config(cfg_path.read_text())
+    return config, workdir
 
 
 class TestPipelineCommands:
@@ -141,6 +154,17 @@ class TestExitCodes:
         assert main(["attack", "--config", str(cfg_path),
                      "--freq-mask", "0:999"]) == 4
 
+    @pytest.mark.parametrize("argv", [
+        ["attack", "--freq-mask", "a:b"],
+        ["attack", "--time-mask", "a:b"],
+        ["sweep", "--axis", "freq", "--masks", "a:b"],
+        ["sweep", "--axis", "freq", "--eps-list", "x"],
+    ], ids=["freq-mask", "time-mask", "sweep-masks", "sweep-eps-list"])
+    def test_unparsable_option_is_config_error(self, micro_workdir, capsys, argv):
+        _, cfg_path = micro_workdir
+        assert main(argv + ["--config", str(cfg_path)]) == 2
+        assert "config error:" in capsys.readouterr().err
+
     def test_train_without_manifest_is_validation_error(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(MICRO + f"\n[paths]\nworkdir = {tmp_path / 'empty'}\n")
@@ -197,6 +221,52 @@ class TestSweep:
         assert len(lines) == 5   # 2 fusions x {no, yes}
         assert lines[1].split(",")[:2] == ["audio_only", "no"]
         assert lines[2].split(",")[:2] == ["audio_only", "yes"]
+
+
+class TestSweepIsolation:
+    """A sweep skips a cell only on AvrobustError; anything else is a bug."""
+
+    def _sweep(self, config, workdir):
+        plan = pipeline.build_sweep_plan("freq", config, masks=[(0, 20)])
+        return pipeline.run_sweep(config, workdir, plan)
+
+    def test_validation_error_is_logged_and_returned(self, micro_copy, monkeypatch):
+        config, workdir = micro_copy
+
+        def bad_data(*args, **kwargs):
+            raise ValidationError("bad cell data")
+
+        monkeypatch.setattr(pipeline, "run_attack", bad_data)
+        out_path, failures = self._sweep(config, workdir)
+        assert len(failures) == 1 and "bad cell data" in failures[0]
+        assert "bad cell data" in (workdir / "failures.log").read_text()
+        assert len(out_path.read_text().splitlines()) == 2   # header + clean row
+
+    def test_programming_error_propagates(self, micro_copy, monkeypatch):
+        config, workdir = micro_copy
+
+        def bug(*args, **kwargs):
+            raise TypeError("a bug, not bad data")
+
+        monkeypatch.setattr(pipeline, "run_attack", bug)
+        with pytest.raises(TypeError):
+            self._sweep(config, workdir)
+        assert not (workdir / "failures.log").exists()
+
+
+class TestTrainingPath:
+    def test_run_train_matches_train_in_memory(self, micro_copy):
+        config, workdir = micro_copy
+        ckpt = pipeline.run_train(config, workdir, out=workdir / "path.ckpt")
+        saved, index, saved_opt = M.load_checkpoint(ckpt)
+        model, result = pipeline.train_in_memory(
+            config, pipeline.load_split(workdir, "train", config.dataset.classes))
+        assert index["step"] == result.steps
+        np.testing.assert_array_equal(saved.input_mean, model.input_mean)
+        for name, p in model.params.items():
+            np.testing.assert_array_equal(saved.params[name].data, p.data)
+            np.testing.assert_array_equal(saved_opt.m[name], result.optimizer.m[name])
+            np.testing.assert_array_equal(saved_opt.v[name], result.optimizer.v[name])
 
 
 class TestDeterminism:

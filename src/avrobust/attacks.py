@@ -289,7 +289,9 @@ def save_perturbation(path, perturbation):
                "steps": perturbation.provenance.get("steps_run", cfg.resolved_steps()),
                "mask": Mask().to_dict() if cfg.mask is None else cfg.mask.to_dict(),
                "manifest_hash": perturbation.provenance.get("manifest_hash"),
-               "seed": cfg.seed, "direction": cfg.direction}
+               "seed": cfg.seed, "direction": cfg.direction,
+               "linf_normalize": cfg.linf_normalize,
+               "random_start": cfg.random_start, "batch_size": cfg.batch_size}
     atomic_write_bytes(path.with_suffix(".json"),
                        (json.dumps(sidecar, sort_keys=True, indent=1) + "\n").encode())
 
@@ -305,7 +307,10 @@ def load_perturbation(path):
                        alpha=sidecar["alpha"], steps=sidecar["steps"],
                        mask=Mask.from_dict(sidecar.get("mask")),
                        seed=sidecar.get("seed", 0),
-                       direction=sidecar.get("direction", "ascent"))
+                       direction=sidecar.get("direction", "ascent"),
+                       linf_normalize=sidecar.get("linf_normalize", "sign"),
+                       random_start=sidecar.get("random_start", False),
+                       batch_size=sidecar.get("batch_size", 32))
     prov = {"manifest_hash": sidecar.get("manifest_hash"),
             "steps_run": sidecar["steps"], "seed": sidecar.get("seed", 0)}
     return Perturbation(delta=delta, config=cfg, provenance=prov).validate()

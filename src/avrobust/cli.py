@@ -167,6 +167,9 @@ def _run(args):
                      for m in args.masks.split(",") if m.strip()]
         if args.eps_list is not None:
             eps_list = _parse_option("--eps-list", _parse_floats, args.eps_list)
+            if any(eps <= 0 for eps in eps_list):
+                raise ConfigurationError(
+                    f"--eps-list entries must be positive, got {args.eps_list}")
         fusions = args.fusions.split(",") if args.fusions else None
         arches = args.arches.split(",") if args.arches else None
         plan = pipeline.build_sweep_plan(args.axis, config, masks=masks,

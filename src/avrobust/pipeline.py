@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -334,6 +335,66 @@ def _report_cells(report):
     return f"{report.map:.6f},{report.auc:.6f},{_fmt_metric(report.dprime)}"
 
 
+def _attacked_cell(cell_config, workdir, ckpt, axis, label):
+    """Attack and evaluate one sweep cell: (report path, None) or (None, error repr).
+
+    Takes and returns only paths and config, so it runs unchanged in a
+    pool worker.  Only an ``AvrobustError`` becomes a returned failure.
+    """
+    tag = "_".join(str(v) for v in label.values()).replace(":", "-")
+    try:
+        delta_path = run_attack(cell_config, workdir, ckpt,
+                                out=workdir / f"delta_{axis}_{tag}.avfb")
+        return run_eval(cell_config, workdir, ckpt, perturbation=delta_path,
+                        out=workdir / f"report_{axis}_{tag}.json"), None
+    except AvrobustError as exc:
+        return None, repr(exc)
+
+
+def _openblas_thread_setter():
+    """numpy's bundled OpenBLAS ``set_num_threads``, or None where it cannot be reached."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                     "scipy_openblas_set_num_threads64_", None)
+    except (ImportError, OSError):
+        return None
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+    return fn
+
+
+def _run_attacked_cells(jobs):
+    """Results of ``_attacked_cell`` over ``jobs``, in job order.
+
+    Runs the jobs on a pool of forked workers, one per usable CPU and at
+    most one per job, each pinned to one BLAS thread: two workers with
+    two BLAS threads each would oversubscribe the cores.  Falls back to
+    this process, one job after another, when there is one CPU or job,
+    or when the BLAS thread count cannot be set.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    set_blas_threads = _openblas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        return [_attacked_cell(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork: workers start with this process's imports and state instead of
+    # re-importing numpy, and the initializer is inherited, not pickled; the
+    # fork context launches every worker before the executor starts its own
+    # threads, and OpenBLAS quiesces its thread pool across a fork
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=set_blas_threads, initargs=(1,))
+    try:
+        futures = [pool.submit(_attacked_cell, *job) for job in jobs]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_sweep(config, workdir, plan, out=None):
     """Run every cell, reusing checkpoints whenever the model is unchanged.
 
@@ -341,6 +402,14 @@ def run_sweep(config, workdir, plan, out=None):
     sweeps).  A cell that raises an ``AvrobustError`` is logged to
     failures.log and skipped; the partial CSV is still written and the
     failures returned.  Any other exception is a bug and propagates.
+
+    Training every checkpoint and the clean evaluations run first, in
+    this process.  The attacked cells then run on a pool of forked
+    workers bounded by the usable CPUs, each worker using one BLAS
+    thread; rows and failures keep plan order, so every file matches a
+    one-process run.  Training stays here because parameter gradients
+    depend on the BLAS thread count; the input-gradient attack and the
+    evaluation do not at the shapes tested.
     """
     workdir = Path(workdir)
     out_path = Path(out) if out else workdir / f"sweep_{plan.axis}.csv"
@@ -376,34 +445,40 @@ def run_sweep(config, workdir, plan, out=None):
         except AvrobustError as exc:
             failures.append(f"clean: {exc!r}")
 
+    # (label, attack config, clean report, error repr) per cell, in plan order;
+    # an attacked cell has neither report nor error until its job has run
+    cells, jobs = [], []
     for label, overrides in plan.cells:
+        overrides = dict(overrides)
+        attacked = overrides.pop("_attacked", True)
         try:
-            overrides = dict(overrides)
-            attacked = overrides.pop("_attacked", True)
             cell_config = config.with_overrides(**overrides)
             ckpt = checkpoint_for(cell_config)
-            if attacked:
-                tag = "_".join(str(v) for v in label.values()).replace(":", "-")
-                delta_path = run_attack(cell_config, workdir, ckpt,
-                                        out=workdir / f"delta_{plan.axis}_{tag}.avfb")
-                report_path = run_eval(cell_config, workdir, ckpt,
-                                       perturbation=delta_path,
-                                       out=workdir / f"report_{plan.axis}_{tag}.json")
-                report = mx.EvalReport.from_json(report_path.read_text())
-            else:
-                report = clean_report(cell_config, ckpt)
-            a = cell_config.attack
-            if plan.axis in ("freq", "time"):
-                lines.append(f"{label['mask']},{label['eps']},{a.norm},{a.alpha},"
-                             f"{_report_cells(report)}")
-            elif plan.axis == "eps":
-                lines.append(f"{label['eps']},{a.norm},{a.alpha},{_report_cells(report)}")
-            elif plan.axis == "fusion":
-                lines.append(f"{label['fusion']},{label['attack']},{_report_cells(report)}")
-            else:
-                lines.append(f"{label['model']},{label['attack']},{_report_cells(report)}")
+            report = None if attacked else clean_report(cell_config, ckpt)
         except AvrobustError as exc:
-            failures.append(f"{label}: {exc!r}")
+            cells.append((label, None, None, repr(exc)))
+            continue
+        if attacked:
+            jobs.append((cell_config, workdir, ckpt, plan.axis, label))
+        cells.append((label, cell_config.attack, report, None))
+
+    results = iter(_run_attacked_cells(jobs))
+    for label, a, report, error in cells:
+        if report is None and error is None:
+            report_path, error = next(results)
+            if error is None:
+                report = mx.EvalReport.from_json(Path(report_path).read_text())
+        if error is not None:
+            failures.append(f"{label}: {error}")
+        elif plan.axis in ("freq", "time"):
+            lines.append(f"{label['mask']},{label['eps']},{a.norm},{a.alpha},"
+                         f"{_report_cells(report)}")
+        elif plan.axis == "eps":
+            lines.append(f"{label['eps']},{a.norm},{a.alpha},{_report_cells(report)}")
+        elif plan.axis == "fusion":
+            lines.append(f"{label['fusion']},{label['attack']},{_report_cells(report)}")
+        else:
+            lines.append(f"{label['model']},{label['attack']},{_report_cells(report)}")
 
     atomic_write_bytes(out_path, ("\n".join(lines) + "\n").encode())
     if failures:

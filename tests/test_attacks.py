@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -282,6 +285,30 @@ class TestUniversal:
         assert back.config.norm == "l2"
         assert back.config.mask == cfg.mask
         assert back.provenance["manifest_hash"] == pert.provenance["manifest_hash"]
+
+    def test_sidecar_keeps_every_config_field(self, tmp_path):
+        cfg = atk.AttackConfig(norm="linf", epsilon=0.7, alpha=0.05, steps=3,
+                               mask=atk.Mask(freq=(1, 5), time=(0, 4)), seed=9,
+                               direction="descent", linf_normalize="scale",
+                               random_start=True, batch_size=5)
+        defaults = atk.AttackConfig()
+        for field in dataclasses.fields(atk.AttackConfig):   # every field non-default
+            assert getattr(cfg, field.name) != getattr(defaults, field.name), field.name
+        delta = np.zeros((8, 16))
+        delta[:4, 1:5] = 0.25
+        pert = atk.Perturbation(delta=delta, config=cfg,
+                                provenance={"manifest_hash": "x", "steps_run": 3})
+        path = tmp_path / "delta.avfb"
+        atk.save_perturbation(path, pert)
+        assert atk.load_perturbation(path).config == cfg
+
+        # a sidecar written before these three keys existed loads with the defaults
+        sidecar = json.loads(path.with_suffix(".json").read_text())
+        for key in ("linf_normalize", "random_start", "batch_size"):
+            del sidecar[key]
+        path.with_suffix(".json").write_text(json.dumps(sidecar))
+        assert atk.load_perturbation(path).config == dataclasses.replace(
+            cfg, linf_normalize="sign", random_start=False, batch_size=32)
 
 
 class TestMultimodalGradient:

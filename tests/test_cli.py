@@ -165,6 +165,16 @@ class TestExitCodes:
         assert main(argv + ["--config", str(cfg_path)]) == 2
         assert "config error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps_list", ["-1", "0"])
+    def test_non_positive_sweep_eps_is_config_error(self, micro_copy, capsys, eps_list):
+        _, workdir = micro_copy
+        before = sorted(p.name for p in workdir.iterdir())
+        argv = ["sweep", "--config", str(workdir / "config.ini"), "--workdir",
+                str(workdir), "--axis", "freq", "--eps-list", eps_list]
+        assert main(argv) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(p.name for p in workdir.iterdir()) == before   # no checkpoint
+
     def test_train_without_manifest_is_validation_error(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(MICRO + f"\n[paths]\nworkdir = {tmp_path / 'empty'}\n")
@@ -223,11 +233,43 @@ class TestSweep:
         assert lines[2].split(",")[:2] == ["audio_only", "yes"]
 
 
+def _use_cpus(monkeypatch, n):
+    """Make ``run_sweep`` see ``n`` usable CPUs: 1 runs attacked cells serially."""
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+class TestSweepPool:
+    def test_pool_matches_serial_bytes(self, micro_copy, tmp_path, monkeypatch):
+        """Pooled 1-BLAS-thread workers write the files a one-process sweep writes."""
+        if pipeline._openblas_thread_setter() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set; no pool")
+        config, workdir = micro_copy
+        plan = pipeline.build_sweep_plan("freq", config, masks=[None, (0, 20)],
+                                         eps_list=[0.2, 0.5])
+        assert sum(1 for _, over in plan.cells if over.get("_attacked", True)) == 4
+        runs = {}
+        for cpus in (1, 2):
+            wd = tmp_path / f"cpus{cpus}"
+            shutil.copytree(workdir, wd, ignore=shutil.ignore_patterns(
+                "delta_*", "report_*", "model_*", "sweep_*"))
+            _use_cpus(monkeypatch, cpus)
+            _, failures = pipeline.run_sweep(config, wd, plan)
+            assert failures == []
+            runs[cpus] = {p.name: p.read_bytes() for p in sorted(wd.iterdir())
+                          if p.name.startswith(("delta_", "report_", "model_"))
+                          or p.name == "sweep_freq.csv"}
+        assert len([n for n in runs[1] if n.startswith("delta_")]) == 8   # 4 x avfb+json
+        assert runs[1].keys() == runs[2].keys()
+        for name in runs[1]:
+            assert runs[1][name] == runs[2][name], name
+
+
 class TestSweepIsolation:
     """A sweep skips a cell only on AvrobustError; anything else is a bug."""
 
-    def _sweep(self, config, workdir):
-        plan = pipeline.build_sweep_plan("freq", config, masks=[(0, 20)])
+    def _sweep(self, config, workdir, masks=((0, 20),)):
+        plan = pipeline.build_sweep_plan("freq", config, masks=list(masks))
         return pipeline.run_sweep(config, workdir, plan)
 
     def test_validation_error_is_logged_and_returned(self, micro_copy, monkeypatch):
@@ -251,6 +293,34 @@ class TestSweepIsolation:
         monkeypatch.setattr(pipeline, "run_attack", bug)
         with pytest.raises(TypeError):
             self._sweep(config, workdir)
+        assert not (workdir / "failures.log").exists()
+
+
+    def test_validation_errors_through_pool_keep_plan_order(self, micro_copy,
+                                                            monkeypatch):
+        config, workdir = micro_copy
+        _use_cpus(monkeypatch, 2)
+
+        def bad_data(config, workdir, checkpoint, out=None):
+            raise ValidationError(f"bad cell data {config.attack.freq_mask}")
+
+        monkeypatch.setattr(pipeline, "run_attack", bad_data)
+        out_path, failures = self._sweep(config, workdir, masks=[(0, 20), (20, 40)])
+        assert len(failures) == 2
+        assert "(0, 20)" in failures[0] and "(20, 40)" in failures[1]
+        assert (workdir / "failures.log").read_text() == "\n".join(failures) + "\n"
+        assert len(out_path.read_text().splitlines()) == 2   # header + clean row
+
+    def test_programming_error_propagates_through_pool(self, micro_copy, monkeypatch):
+        config, workdir = micro_copy
+        _use_cpus(monkeypatch, 2)
+
+        def bug(*args, **kwargs):
+            raise TypeError("a bug, not bad data")
+
+        monkeypatch.setattr(pipeline, "run_attack", bug)
+        with pytest.raises(TypeError):
+            self._sweep(config, workdir, masks=[(0, 20), (20, 40)])
         assert not (workdir / "failures.log").exists()
 
 

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .base import check_binary_targets
-from .container import atomic_write_bytes, read_feature_file, tensor_bytes
+from .container import atomic_write_bytes, json_field, read_feature_file, tensor_bytes
 from .errors import ConfigurationError, DimensionError, FormatError, ValidationError
 
 __all__ = [
@@ -147,10 +147,10 @@ class AttackConfig:
 
     def __post_init__(self):
         _check_norm(self.norm)
-        if self.epsilon <= 0.0:
-            raise ConfigurationError(f"epsilon must be positive, got {self.epsilon}")
-        if self.alpha <= 0.0:
-            raise ConfigurationError(f"alpha must be positive, got {self.alpha}")
+        for name in ("epsilon", "alpha"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.steps is not None and self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
         if self.direction not in ("ascent", "descent"):
@@ -302,9 +302,14 @@ def load_perturbation(path):
     sidecar_path = path.with_suffix(".json")
     if not sidecar_path.exists():
         raise FormatError(f"perturbation sidecar {sidecar_path} is missing")
-    sidecar = json.loads(sidecar_path.read_text())
-    cfg = AttackConfig(norm=sidecar["norm"], epsilon=sidecar["epsilon"],
-                       alpha=sidecar["alpha"], steps=sidecar["steps"],
+    source = f"perturbation sidecar {sidecar_path}"
+    try:
+        sidecar = json.loads(sidecar_path.read_text("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{source}: invalid JSON ({exc})") from exc
+    norm, epsilon, alpha, steps = (json_field(sidecar, key, source)
+                                   for key in ("norm", "epsilon", "alpha", "steps"))
+    cfg = AttackConfig(norm=norm, epsilon=epsilon, alpha=alpha, steps=steps,
                        mask=Mask.from_dict(sidecar.get("mask")),
                        seed=sidecar.get("seed", 0),
                        direction=sidecar.get("direction", "ascent"),
@@ -312,5 +317,5 @@ def load_perturbation(path):
                        random_start=sidecar.get("random_start", False),
                        batch_size=sidecar.get("batch_size", 32))
     prov = {"manifest_hash": sidecar.get("manifest_hash"),
-            "steps_run": sidecar["steps"], "seed": sidecar.get("seed", 0)}
+            "steps_run": steps, "seed": sidecar.get("seed", 0)}
     return Perturbation(delta=delta, config=cfg, provenance=prov).validate()

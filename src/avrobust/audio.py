@@ -62,6 +62,14 @@ def mel_filterbank(n_mels, sample_rate, n_fft):
     return bank
 
 
+@lru_cache(maxsize=4)
+def _mel_filterbank_cached(n_mels, sample_rate, n_fft):
+    """``mel_filterbank`` built once per geometry and shared read-only."""
+    bank = mel_filterbank(n_mels, sample_rate, n_fft)
+    bank.setflags(write=False)
+    return bank
+
+
 def mel_bin_peaks(n_mels, sample_rate):
     """Peak (center) frequency in Hz of each mel filter."""
     points_hz = mel_to_hz(np.linspace(0.0, hz_to_mel(sample_rate / 2.0), n_mels + 2))
@@ -93,8 +101,7 @@ def mel_power_spectrogram(samples, sample_rate=16000, frame_ms=25.0, hop_ms=25.0
     window = np.hanning(frame_len)
     spectrum = np.fft.rfft(frames * window, n=n_fft, axis=1)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    bank = mel_filterbank(n_mels, sample_rate, n_fft)
-    return power @ bank.T
+    return power @ _mel_filterbank_cached(n_mels, sample_rate, n_fft).T
 
 
 def log_mel_spectrogram(samples, sample_rate=16000, frame_ms=25.0, hop_ms=25.0,

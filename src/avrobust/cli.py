@@ -13,7 +13,8 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import ExperimentConfig, _parse_floats, _parse_range, parse_config
+from .config import (ExperimentConfig, _parse_floats, _parse_range, _positive,
+                     parse_config)
 from .errors import ConfigurationError, FormatError, ValidationError
 
 __all__ = ["main"]
@@ -47,8 +48,7 @@ def _load_config(args):
     if getattr(args, "norm", None):
         attack_over["norm"] = args.norm
     if getattr(args, "eps", None) is not None:
-        if args.eps <= 0:
-            raise ConfigurationError(f"--eps must be positive, got {args.eps}")
+        _parse_option("--eps", _positive("value"), args.eps)
         attack_over["eps"] = args.eps
     if getattr(args, "alpha", None) is not None:
         attack_over["alpha"] = args.alpha
@@ -167,9 +167,8 @@ def _run(args):
                      for m in args.masks.split(",") if m.strip()]
         if args.eps_list is not None:
             eps_list = _parse_option("--eps-list", _parse_floats, args.eps_list)
-            if any(eps <= 0 for eps in eps_list):
-                raise ConfigurationError(
-                    f"--eps-list entries must be positive, got {args.eps_list}")
+            for eps in eps_list:
+                _parse_option("--eps-list", _positive("every entry"), eps)
         fusions = args.fusions.split(",") if args.fusions else None
         arches = args.arches.split(",") if args.arches else None
         plan = pipeline.build_sweep_plan(args.axis, config, masks=masks,

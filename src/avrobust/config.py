@@ -9,6 +9,7 @@ parse -> serialize -> parse a fixed point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 from .errors import ConfigFileError
@@ -70,15 +71,15 @@ def _fmt_range(value):
 # key -> (parser, formatter, validator or None)
 def _positive(name):
     def check(v):
-        if v <= 0:
-            raise ValueError(f"{name} must be positive, got {v}")
+        if not (math.isfinite(v) and v > 0):
+            raise ValueError(f"{name} must be positive and finite, got {v}")
     return check
 
 
 def _non_negative(name):
     def check(v):
-        if v < 0:
-            raise ValueError(f"{name} must be >= 0, got {v}")
+        if not (math.isfinite(v) and v >= 0):
+            raise ValueError(f"{name} must be finite and >= 0, got {v}")
     return check
 
 

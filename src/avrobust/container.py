@@ -78,6 +78,14 @@ def tensor_from_bytes(buf, offset=0):
     return arr.copy(), payload_end
 
 
+def json_field(obj, key, source):
+    """``obj[key]`` of a parsed JSON object; a missing key is a ``FormatError``
+    naming ``source`` and the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise FormatError(f"{source}: missing key {key!r}")
+    return obj[key]
+
+
 def atomic_write_bytes(path, data):
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
@@ -144,10 +152,16 @@ def read_manifest(path, require_paths=True):
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise FormatError(f"manifest line {lineno}: invalid JSON ({exc})") from exc
-        rec = ClipRecord(
-            id=str(obj["id"]), features=str(obj["features"]), video=str(obj["video"]),
-            labels=[int(x) for x in obj["labels"]], split=str(obj["split"]),
-            seed=int(obj["seed"]))
+        source = f"{path} line {lineno}"
+        v = {key: json_field(obj, key, source)
+             for key in ("id", "features", "video", "labels", "split", "seed")}
+        try:
+            rec = ClipRecord(
+                id=str(v["id"]), features=str(v["features"]), video=str(v["video"]),
+                labels=[int(x) for x in v["labels"]], split=str(v["split"]),
+                seed=int(v["seed"]))
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"{source}: bad value ({exc})") from exc
         if rec.id in ids:
             raise ValidationError(f"manifest line {lineno}: duplicate clip id {rec.id!r}")
         ids.add(rec.id)

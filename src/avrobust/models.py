@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .base import check_binary_targets
-from .container import atomic_write_bytes, tensor_bytes, tensor_from_bytes
+from .container import atomic_write_bytes, json_field, tensor_bytes, tensor_from_bytes
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -608,22 +608,27 @@ def load_checkpoint(path, seed=0):
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"unreadable checkpoint index: {exc}") from exc
     blob = raw[8 + json_len:]
-    if index["kind"] == "csn":
-        model = CsnModel(CsnConfig.from_dict(index["config"]), seed=seed)
-    elif index["kind"] == "resnet":
-        model = ResnetModel(ResnetConfig.from_dict(index["config"]), seed=seed)
+    source = f"checkpoint index of {path}"
+    kind = json_field(index, "kind", source)
+    config = json_field(index, "config", source)
+    if kind == "csn":
+        model = CsnModel(CsnConfig.from_dict(config), seed=seed)
+    elif kind == "resnet":
+        model = ResnetModel(ResnetConfig.from_dict(config), seed=seed)
     else:
-        raise FormatError(f"unknown checkpoint kind {index['kind']!r}")
+        raise FormatError(f"unknown checkpoint kind {kind!r}")
     arrays = {}
-    for name, entry in index["tensors"].items():
+    for name, entry in json_field(index, "tensors", source).items():
+        offset = json_field(entry, "offset", f"{source}, tensor {name!r}")
+        shape = json_field(entry, "shape", f"{source}, tensor {name!r}")
         try:
-            arr, _ = tensor_from_bytes(blob, entry["offset"])
+            arr, _ = tensor_from_bytes(blob, offset)
         except FormatError as exc:
             raise FormatError(f"tensor {name!r}: {exc}") from exc
-        if list(arr.shape) != entry["shape"]:
+        if list(arr.shape) != shape:
             raise FormatError(
                 f"tensor {name!r}: stored shape {list(arr.shape)} does not match "
-                f"index shape {entry['shape']}")
+                f"index shape {shape}")
         arrays[name] = arr.astype(np.float64)
     for name, p in model.params.items():
         if name not in arrays:

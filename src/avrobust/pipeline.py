@@ -17,6 +17,13 @@ config, with every artifact written under one workdir:
 
 Every artifact is a pure function of (config, seeds), so identical
 configs reproduce byte-identical files.
+
+Independent jobs run through ``_map_on_workers``: a pool of forked
+workers, one per usable CPU and each pinned to one BLAS thread, that
+returns results in job order.  ``run_synth`` and ``generate_dataset``
+hand it one job per clip; ``run_sweep`` hands it the attacked cells,
+after training every checkpoint in this process.  With one CPU or one
+job the jobs run here, one after another, and write the same bytes.
 """
 
 from __future__ import annotations
@@ -94,40 +101,95 @@ def _clip_arrays(ds, bank, split, index):
     return feats, video, labels, seed
 
 
+# ---------------------------------------------------------------------------
+# worker pool
+
+
+def _openblas_thread_setter():
+    """numpy's bundled OpenBLAS ``set_num_threads``, or None where it cannot be reached."""
+    import ctypes
+    try:
+        from numpy._core import _multiarray_umath
+        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                     "scipy_openblas_set_num_threads64_", None)
+    except (ImportError, OSError):
+        return None
+    if fn is not None:
+        fn.argtypes = [ctypes.c_int]
+        fn.restype = None
+    return fn
+
+
+def _map_on_workers(fn, jobs):
+    """``[fn(*job) for job in jobs]``, computed on a pool of forked workers.
+
+    One worker per usable CPU and at most one per job, each pinned to one
+    BLAS thread: two workers with two BLAS threads each would
+    oversubscribe the cores.  Jobs go out in chunks of about a quarter of
+    each worker's share, so hundreds of small jobs are not as many pipe
+    round trips.  Falls back to this process, one job after another, when
+    there is one CPU or job, or when the BLAS thread count cannot be set.
+    Results keep job order; an exception raised by any job re-raises here
+    and the jobs not yet started are cancelled.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(cpus, len(jobs))
+    set_blas_threads = _openblas_thread_setter() if workers > 1 else None
+    if set_blas_threads is None:
+        return [fn(*job) for job in jobs]
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    # fork: workers start with this process's imports and state instead of
+    # re-importing numpy, and the initializer is inherited, not pickled; the
+    # fork context launches every worker before the executor starts its own
+    # threads, and OpenBLAS quiesces its thread pool across a fork
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=set_blas_threads, initargs=(1,))
+    try:
+        return list(pool.map(fn, *zip(*jobs),
+                             chunksize=max(1, len(jobs) // (4 * workers))))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def generate_dataset(ds, split):
     """Build one split fully in memory (no files)."""
     bank = build_class_bank(ds)
     count = ds.train_clips if split == "train" else ds.eval_clips
-    feats_list, video_list, label_list, ids = [], [], [], []
-    for i in range(count):
-        feats, video, labels, _ = _clip_arrays(ds, bank, split, i)
-        feats_list.append(feats)
-        video_list.append(video)
-        label_list.append(labels)
-        ids.append(f"{split}_{i:05d}")
-    return ArrayDataset(np.stack(feats_list), np.stack(video_list),
-                        np.stack(label_list), ids, bank.names())
+    clips = _map_on_workers(_clip_arrays, [(ds, bank, split, i) for i in range(count)])
+    feats, video, labels, _ = zip(*clips)
+    return ArrayDataset(np.stack(feats), np.stack(video), np.stack(labels),
+                        [f"{split}_{i:05d}" for i in range(count)], bank.names())
+
+
+def _synth_clip(ds, bank, split, index, workdir):
+    """Write one clip's ``features/`` and ``video/`` files; returns its record."""
+    feats, video, labels, seed = _clip_arrays(ds, bank, split, index)
+    clip_id = f"{split}_{index:05d}"
+    write_feature_file(workdir / "features" / f"{clip_id}.avfb", feats)
+    write_feature_file(workdir / "video" / f"{clip_id}.avfb", video)
+    return ClipRecord(id=clip_id, features=f"features/{clip_id}.avfb",
+                      video=f"video/{clip_id}.avfb",
+                      labels=[int(c) for c in np.flatnonzero(labels)],
+                      split=split, seed=seed)
 
 
 def run_synth(config, workdir):
-    """Synthesize both splits to disk; returns the manifest path."""
+    """Synthesize both splits to disk; returns the manifest path.
+
+    Each clip is one ``_map_on_workers`` job that writes its own feature
+    files; the manifest (in clip order), class bank and resolved config
+    are written here once every clip is on disk.
+    """
     workdir = Path(workdir)
     (workdir / "features").mkdir(parents=True, exist_ok=True)
     (workdir / "video").mkdir(parents=True, exist_ok=True)
     ds = config.dataset
     bank = build_class_bank(ds)
-    records = []
-    for split, count in (("train", ds.train_clips), ("eval", ds.eval_clips)):
-        for i in range(count):
-            feats, video, labels, seed = _clip_arrays(ds, bank, split, i)
-            clip_id = f"{split}_{i:05d}"
-            write_feature_file(workdir / "features" / f"{clip_id}.avfb", feats)
-            write_feature_file(workdir / "video" / f"{clip_id}.avfb", video)
-            records.append(ClipRecord(
-                id=clip_id, features=f"features/{clip_id}.avfb",
-                video=f"video/{clip_id}.avfb",
-                labels=[int(c) for c in np.flatnonzero(labels)],
-                split=split, seed=seed))
+    records = _map_on_workers(_synth_clip, [
+        (ds, bank, split, i, workdir)
+        for split, count in (("train", ds.train_clips), ("eval", ds.eval_clips))
+        for i in range(count)])
     manifest_path = workdir / "manifest.jsonl"
     write_manifest(manifest_path, records)
     classes = [{"id": c.class_id, "name": c.name, "band": list(c.band),
@@ -351,50 +413,6 @@ def _attacked_cell(cell_config, workdir, ckpt, axis, label):
         return None, repr(exc)
 
 
-def _openblas_thread_setter():
-    """numpy's bundled OpenBLAS ``set_num_threads``, or None where it cannot be reached."""
-    import ctypes
-    try:
-        from numpy._core import _multiarray_umath
-        fn = getattr(ctypes.CDLL(_multiarray_umath.__file__),
-                     "scipy_openblas_set_num_threads64_", None)
-    except (ImportError, OSError):
-        return None
-    if fn is not None:
-        fn.argtypes = [ctypes.c_int]
-        fn.restype = None
-    return fn
-
-
-def _run_attacked_cells(jobs):
-    """Results of ``_attacked_cell`` over ``jobs``, in job order.
-
-    Runs the jobs on a pool of forked workers, one per usable CPU and at
-    most one per job, each pinned to one BLAS thread: two workers with
-    two BLAS threads each would oversubscribe the cores.  Falls back to
-    this process, one job after another, when there is one CPU or job,
-    or when the BLAS thread count cannot be set.
-    """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(cpus, len(jobs))
-    set_blas_threads = _openblas_thread_setter() if workers > 1 else None
-    if set_blas_threads is None:
-        return [_attacked_cell(*job) for job in jobs]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    # fork: workers start with this process's imports and state instead of
-    # re-importing numpy, and the initializer is inherited, not pickled; the
-    # fork context launches every worker before the executor starts its own
-    # threads, and OpenBLAS quiesces its thread pool across a fork
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=set_blas_threads, initargs=(1,))
-    try:
-        futures = [pool.submit(_attacked_cell, *job) for job in jobs]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def run_sweep(config, workdir, plan, out=None):
     """Run every cell, reusing checkpoints whenever the model is unchanged.
 
@@ -404,12 +422,11 @@ def run_sweep(config, workdir, plan, out=None):
     failures returned.  Any other exception is a bug and propagates.
 
     Training every checkpoint and the clean evaluations run first, in
-    this process.  The attacked cells then run on a pool of forked
-    workers bounded by the usable CPUs, each worker using one BLAS
-    thread; rows and failures keep plan order, so every file matches a
-    one-process run.  Training stays here because parameter gradients
-    depend on the BLAS thread count; the input-gradient attack and the
-    evaluation do not at the shapes tested.
+    this process.  The attacked cells then run through
+    ``_map_on_workers``; rows and failures keep plan order, so every
+    file matches a one-process run.  Training stays here because
+    parameter gradients depend on the BLAS thread count; the
+    input-gradient attack and the evaluation do not at the shapes tested.
     """
     workdir = Path(workdir)
     out_path = Path(out) if out else workdir / f"sweep_{plan.axis}.csv"
@@ -462,7 +479,7 @@ def run_sweep(config, workdir, plan, out=None):
             jobs.append((cell_config, workdir, ckpt, plan.axis, label))
         cells.append((label, cell_config.attack, report, None))
 
-    results = iter(_run_attacked_cells(jobs))
+    results = iter(_map_on_workers(_attacked_cell, jobs))
     for label, a, report, error in cells:
         if report is None and error is None:
             report_path, error = next(results)

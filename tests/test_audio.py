@@ -43,6 +43,19 @@ class TestMelFilterbank:
         with pytest.raises(ConfigurationError):
             audio.mel_filterbank(64, 16000, 1000)
 
+    def test_spectrogram_bank_is_cached_read_only(self):
+        cached = audio._mel_filterbank_cached(64, 16000, 1024)
+        assert cached is audio._mel_filterbank_cached(64, 16000, 1024)
+        assert not cached.flags.writeable
+        fresh = audio.mel_filterbank(64, 16000, 1024)
+        assert fresh.flags.writeable and fresh is not cached
+        np.testing.assert_array_equal(fresh, cached)
+        w = np.random.default_rng(0).standard_normal(16000)
+        frames = w.reshape(40, 400) * np.hanning(400)
+        spectrum = np.fft.rfft(frames, n=1024, axis=1)
+        power = spectrum.real ** 2 + spectrum.imag ** 2
+        np.testing.assert_array_equal(audio.mel_power_spectrogram(w), power @ fresh.T)
+
 
 class TestLogMel:
     def test_ten_second_clip_geometry(self):

@@ -1,12 +1,15 @@
 """End-to-end CLI runs on a micro dataset (seconds, not minutes)."""
 
 import json
+import os
 import shutil
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from avrobust import attacks as atk
 from avrobust import models as M
 from avrobust import pipeline
 from avrobust.cli import main
@@ -175,6 +178,21 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == before   # no checkpoint
 
+    @pytest.mark.parametrize("argv, ini_eps", [
+        (["attack", "--eps", "nan"], "0.5"),
+        (["sweep", "--axis", "freq", "--eps-list", "nan"], "0.5"),
+        (["attack"], "nan"),
+        (["attack", "--alpha", "nan"], "0.5"),
+    ], ids=["eps", "eps-list", "ini-eps", "alpha"])
+    def test_nan_eps_or_alpha_is_config_error(self, micro_copy, tmp_path, capsys, argv, ini_eps):
+        _, workdir = micro_copy
+        cfg = tmp_path / "eps.ini"
+        cfg.write_text(MICRO.replace("eps = 0.5", f"eps = {ini_eps}"))
+        before = sorted(p.relative_to(workdir) for p in workdir.rglob("*"))
+        assert main(argv + ["--config", str(cfg), "--workdir", str(workdir)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert sorted(p.relative_to(workdir) for p in workdir.rglob("*")) == before
+
     def test_train_without_manifest_is_validation_error(self, tmp_path):
         cfg = tmp_path / "c.ini"
         cfg.write_text(MICRO + f"\n[paths]\nworkdir = {tmp_path / 'empty'}\n")
@@ -233,8 +251,68 @@ class TestSweep:
         assert lines[2].split(",")[:2] == ["audio_only", "yes"]
 
 
+def _corrupt_checkpoint(path, key):
+    """Drop ``key`` from the checkpoint's JSON index (a tensor entry's for
+    offset/shape), or garble the index when ``key`` is None."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 4)
+    if key is None:
+        body = b"{" * n
+    else:
+        index = json.loads(raw[8:8 + n])
+        tensor = next(iter(index["tensors"].values()))
+        del (tensor if key in ("offset", "shape") else index)[key]
+        body = json.dumps(index).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(body)) + body + raw[8 + n:])
+
+
+def _corrupt_json(path, key, line=0):
+    """Drop ``key`` from one JSON line of ``path``, or garble it when ``key`` is None."""
+    lines = path.read_text().splitlines()
+    if key is None:
+        lines[line] = lines[line][:-1]
+    else:
+        obj = json.loads(lines[line])
+        del obj[key]
+        lines[line] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n")
+
+
+CORRUPTIONS = (
+    [("checkpoint", k) for k in ("kind", "config", "tensors", "offset", "shape", None)]
+    + [("manifest", k) for k in ("id", "features", "video", "labels", "split", "seed",
+                                 None)]
+    + [("sidecar", k) for k in ("norm", "epsilon", "alpha", "steps", None)])
+
+
+class TestCorruptInputs:
+    @pytest.mark.parametrize("target, key", CORRUPTIONS,
+                             ids=[f"{t}-{k or 'json'}" for t, k in CORRUPTIONS])
+    def test_missing_key_or_bad_json_is_io_error(self, micro_copy, capsys, target, key):
+        _, workdir = micro_copy
+        delta = workdir / "zero.avfb"
+        atk.save_perturbation(delta, atk.Perturbation(
+            delta=np.zeros((40, 64)),
+            config=atk.AttackConfig(norm="l2", epsilon=1.0, alpha=0.1, steps=0),
+            provenance={"manifest_hash": "x", "steps_run": 0}))
+        if target == "checkpoint":
+            _corrupt_checkpoint(workdir / "model.ckpt", key)
+        elif target == "manifest":
+            _corrupt_json(workdir / "manifest.jsonl", key, line=-1)
+        else:
+            sidecar = workdir / "zero.json"
+            sidecar.write_text(json.dumps(json.loads(sidecar.read_text())))  # one line
+            _corrupt_json(sidecar, key)
+        assert main(["eval", "--config", str(workdir / "config.ini"), "--workdir",
+                     str(workdir), "--perturbation", str(delta)]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error:" in err and "Traceback" not in err
+        if key is not None:
+            assert repr(key) in err
+
+
 def _use_cpus(monkeypatch, n):
-    """Make ``run_sweep`` see ``n`` usable CPUs: 1 runs attacked cells serially."""
+    """Make the worker pool see ``n`` usable CPUs: 1 runs every job in this process."""
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: set(range(n)),
                         raising=False)
 
@@ -263,6 +341,73 @@ class TestSweepPool:
         assert runs[1].keys() == runs[2].keys()
         for name in runs[1]:
             assert runs[1][name] == runs[2][name], name
+
+
+class TestSynthPool:
+    """Clips synthesized on pooled workers match a one-process synth."""
+
+    @pytest.fixture(autouse=True)
+    def _needs_pool(self):
+        if pipeline._openblas_thread_setter() is None:
+            pytest.skip("numpy's OpenBLAS thread count cannot be set; no pool")
+
+    def test_pool_matches_serial_bytes(self, micro_workdir, tmp_path, monkeypatch):
+        _, cfg_path = micro_workdir
+        config, _ = parse_config(cfg_path.read_text())
+        runs = {}
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            wd = tmp_path / f"cpus{cpus}"
+            pipeline.run_synth(config, wd)
+            runs[cpus] = {str(p.relative_to(wd)): p.read_bytes()
+                          for p in sorted(wd.rglob("*")) if p.is_file()}
+        assert len(runs[1]) == 2 * 20 + 3    # features + video per clip, 3 side files
+        assert runs[1].keys() == runs[2].keys()
+        for name in runs[1]:
+            assert runs[1][name] == runs[2][name], name
+
+    def test_generate_dataset_matches_serial(self, micro_workdir, monkeypatch):
+        _, cfg_path = micro_workdir
+        config, _ = parse_config(cfg_path.read_text())
+        splits = {}
+        for cpus in (1, 2):
+            _use_cpus(monkeypatch, cpus)
+            splits[cpus] = [pipeline.generate_dataset(config.dataset, split)
+                            for split in ("train", "eval")]
+        for serial, pooled in zip(splits[1], splits[2]):
+            assert serial.ids == pooled.ids
+            for name in ("audio", "video", "labels"):
+                np.testing.assert_array_equal(getattr(serial, name),
+                                              getattr(pooled, name))
+
+    def _fail_in_worker(self, monkeypatch, exc):
+        """Make clip eval_00003 raise ``exc``, but only outside this process."""
+        _use_cpus(monkeypatch, 2)
+        real, parent = pipeline._clip_arrays, os.getpid()
+
+        def clip_arrays(ds, bank, split, index):
+            if (split, index) == ("eval", 3) and os.getpid() != parent:
+                raise exc
+            return real(ds, bank, split, index)
+
+        monkeypatch.setattr(pipeline, "_clip_arrays", clip_arrays)
+
+    def _config(self, tmp_path):
+        cfg = tmp_path / "c.ini"
+        cfg.write_text(MICRO + f"\n[paths]\nworkdir = {tmp_path / 'run'}\n")
+        return cfg
+
+    def test_validation_error_in_worker_is_exit_4(self, tmp_path, monkeypatch, capsys):
+        self._fail_in_worker(monkeypatch, ValidationError("bad clip data"))
+        assert main(["synth", "--config", str(self._config(tmp_path))]) == 4
+        assert "validation error: bad clip data" in capsys.readouterr().err
+        assert not (tmp_path / "run" / "manifest.jsonl").exists()
+
+    def test_programming_error_in_worker_propagates(self, tmp_path, monkeypatch):
+        self._fail_in_worker(monkeypatch, TypeError("a bug, not bad data"))
+        with pytest.raises(TypeError, match="a bug"):
+            main(["synth", "--config", str(self._config(tmp_path))])
+        assert not (tmp_path / "run" / "manifest.jsonl").exists()
 
 
 class TestSweepIsolation:

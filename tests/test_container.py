@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,15 @@ def test_manifest_unresolvable_path(tmp_path):
     write_manifest(path, _records())
     with pytest.raises(ValidationError, match="unresolvable"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("key, value", [("seed", "x"), ("labels", 3), ("labels", ["a"])])
+def test_manifest_bad_value_is_format_error(tmp_path, key, value):
+    path = tmp_path / "manifest.jsonl"
+    write_manifest(path, _records())
+    first, rest = path.read_text().split("\n", 1)
+    obj = json.loads(first)
+    obj[key] = value
+    path.write_text(json.dumps(obj) + "\n" + rest)
+    with pytest.raises(FormatError, match="line 1: bad value"):
+        read_manifest(path, require_paths=False)

@@ -10,11 +10,22 @@ marks the tape consumed.
 All arithmetic is float64.  Operations validate shapes eagerly and
 raise :class:`~avrobust.errors.DimensionError` before touching data, so
 a failed call never leaves a partial node on the tape.
+
+The conv stack's kernels (batched matmul, im2col/col2im, max-pooling and
+relu, forward and backward) split the leading batch axis into one
+contiguous slice per usable CPU and run the slices on op threads; numpy
+releases the GIL inside them.  Each slice does exactly the per-clip
+arithmetic of an unsplit call into an output allocated by the caller,
+and reductions over the batch stay in the caller, so results are
+byte-identical at any op-thread count.  The forked workers of
+``pipeline._map_on_workers`` run with one op thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -182,6 +193,64 @@ def backward(loss, params=None, tape=None):
     return result
 
 
+# ---------------------------------------------------------------------------
+# op threads
+
+_OP_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_SPLIT_MIN = 1 << 15        # kernels touching fewer elements run unsplit
+_executor = None            # (threads, ThreadPoolExecutor), made on first split
+
+
+def _drop_executor():
+    # a forked child inherits the executor but none of its threads
+    global _executor
+    _executor = None
+
+
+os.register_at_fork(after_in_child=_drop_executor)
+
+
+def _over_batch(fn, n, work):
+    """Run ``fn(s)`` over contiguous slices ``s`` of a leading axis of length ``n``.
+
+    One slice per op thread when ``work`` (elements touched) reaches
+    ``_SPLIT_MIN``; the first slice runs in the calling thread.  With one
+    slice, ``fn(...)`` gets an Ellipsis, so it also takes 0-d arrays.
+    """
+    global _executor
+    k = min(_OP_THREADS, n) if work >= _SPLIT_MIN else 1
+    if k <= 1:
+        fn(...)
+        return
+    if _executor is None or _executor[0] < k - 1:
+        _executor = (k - 1, ThreadPoolExecutor(k - 1, thread_name_prefix="avrobust-op"))
+    bounds = [n * i // k for i in range(k + 1)]
+    futures = [_executor[1].submit(fn, slice(bounds[i], bounds[i + 1])) for i in range(1, k)]
+    try:
+        fn(slice(0, bounds[1]))
+    finally:
+        wait(futures)
+    for f in futures:
+        f.result()
+
+
+def _bmm(a, b):
+    """``np.matmul(a, b)``; a product with a batch axis is split over op threads."""
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    if not lead:
+        return np.matmul(a, b)
+    out = np.empty(lead + (a.shape[-2], b.shape[-1]))
+    n = lead[0]
+
+    def part(s):
+        # an operand without the batch axis (or broadcast along it) is shared
+        np.matmul(a[s] if a.ndim == out.ndim and a.shape[0] == n else a,
+                  b[s] if b.ndim == out.ndim and b.shape[0] == n else b, out=out[s])
+
+    _over_batch(part, n, out.size)
+    return out
+
+
 def _unbroadcast(grad, shape):
     """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
@@ -257,16 +326,16 @@ def matmul(a, b):
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor._wrap(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
+    out = Tensor._wrap(_bmm(a.data, b.data), a.requires_grad or b.requires_grad)
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
 
     def vjp(g):
         ga = gb = None
         if need_a:
-            ga = _unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
+            ga = _unbroadcast(_bmm(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
         if need_b:
-            gb = _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_data.shape)
+            gb = _unbroadcast(_bmm(np.swapaxes(a_data, -1, -2), g), b_data.shape)
         return ga, gb
 
     return _record(out, (a, b), vjp, "matmul")
@@ -356,9 +425,24 @@ def reduce_mean(a, axis=None, keepdims=False):
 
 def relu(a):
     a = _as_tensor(a)
-    y = np.maximum(a.data, 0.0)
+    x = a.data
+    y = np.empty_like(x)
+    n = x.shape[0] if x.ndim else 1
+    _over_batch(lambda s: np.maximum(x[s], 0.0, out=y[s]), n, x.size)
     out = Tensor._wrap(y, a.requires_grad)
-    return _record(out, (a,), lambda g: (g * (y > 0),), "relu")
+
+    def vjp(g):
+        dx = np.empty_like(y)
+        live = np.empty(y.shape, dtype=bool)
+
+        def part(s):
+            np.greater(y[s], 0, out=live[s])
+            np.multiply(g[s], live[s], out=dx[s])
+
+        _over_batch(part, n, y.size)
+        return (dx,)
+
+    return _record(out, (a,), vjp, "relu")
 
 
 def _sigmoid(x):
@@ -414,9 +498,18 @@ def _im2col(x, kh, kw, pad_t, pad_f):
     if to < 1 or fo < 1:
         raise DimensionError(
             f"kernel ({kh}x{kw}) larger than padded input ({t + 2 * pad_t}x{f + 2 * pad_f})")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad_t, pad_t), (pad_f, pad_f)))
-    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,C,To,Fo,kh,kw)
-    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * kh * kw, to * fo)
+    data = x.data
+    xp = np.zeros((b, c, t + 2 * pad_t, f + 2 * pad_f))
+    cols = np.empty((b, c * kh * kw, to * fo))
+    cols6 = cols.reshape(b, c, kh, kw, to, fo)
+
+    def part(s):
+        xps = xp[s]
+        xps[:, :, pad_t:pad_t + t, pad_f:pad_f + f] = data[s]
+        win = sliding_window_view(xps, (kh, kw), axis=(2, 3))  # (B,C,To,Fo,kh,kw)
+        np.copyto(cols6[s], win.transpose(0, 1, 4, 5, 2, 3))
+
+    _over_batch(part, b, cols.size)
     out = Tensor._wrap(cols, x.requires_grad)
     need_x = x.requires_grad
 
@@ -425,9 +518,14 @@ def _im2col(x, kh, kw, pad_t, pad_f):
             return (None,)
         g6 = g.reshape(b, c, kh, kw, to, fo)
         dxp = np.zeros((b, c, t + 2 * pad_t, f + 2 * pad_f), dtype=np.float64)
-        for i in range(kh):
-            for j in range(kw):
-                dxp[:, :, i:i + to, j:j + fo] += g6[:, :, i, j]
+
+        def part(s):
+            dxps, g6s = dxp[s], g6[s]
+            for i in range(kh):
+                for j in range(kw):
+                    dxps[:, :, i:i + to, j:j + fo] += g6s[:, :, i, j]
+
+        _over_batch(part, b, g.size)
         if pad_t or pad_f:
             dxp = dxp[:, :, pad_t:pad_t + t, pad_f:pad_f + f]
         return (dxp,)
@@ -479,11 +577,17 @@ def pool2d(x, window, mode="max"):
 
     data = x4.data
     if mode == "max":
-        out_data = cell(data, 0, 0).copy()
-        for i in range(wt):
-            for j in range(wf):
-                if i or j:
-                    np.maximum(out_data, cell(data, i, j), out=out_data)
+        out_data = np.empty((b, c, to, fo))
+
+        def forward(s):
+            xs, ys = data[s], out_data[s]
+            np.copyto(ys, cell(xs, 0, 0))
+            for i in range(wt):
+                for j in range(wf):
+                    if i or j:
+                        np.maximum(ys, cell(xs, i, j), out=ys)
+
+        _over_batch(forward, b, data.size)
     else:
         out_data = cell(data, 0, 0).copy()
         for i in range(wt):
@@ -497,13 +601,21 @@ def pool2d(x, window, mode="max"):
         dx = np.zeros((b, c, t, f), dtype=np.float64)
         if mode == "max":
             # route to the first maximum, scanning the window row-major
-            # (deterministic tie-breaking)
-            taken = np.zeros((b, c, to, fo), dtype=bool)
-            for i in range(wt):
-                for j in range(wf):
-                    hit = (cell(data, i, j) == out_data) & ~taken
-                    cell(dx, i, j)[hit] = g[hit]
-                    taken |= hit
+            # (deterministic tie-breaking); ``free`` marks the windows not
+            # yet routed
+            hit = np.empty((b, c, to, fo), dtype=bool)
+            free = np.ones((b, c, to, fo), dtype=bool)
+
+            def backward(s):
+                xs, ys, gs, dxs, hits, frees = data[s], out_data[s], g[s], dx[s], hit[s], free[s]
+                for i in range(wt):
+                    for j in range(wf):
+                        np.equal(cell(xs, i, j), ys, out=hits)
+                        hits &= frees
+                        np.copyto(cell(dxs, i, j), gs, where=hits)
+                        frees ^= hits
+
+            _over_batch(backward, b, data.size)
         else:
             share = g / (wt * wf)
             for i in range(wt):

@@ -78,12 +78,17 @@ def tensor_from_bytes(buf, offset=0):
     return arr.copy(), payload_end
 
 
-def json_field(obj, key, source):
-    """``obj[key]`` of a parsed JSON object; a missing key is a ``FormatError``
-    naming ``source`` and the key."""
+def json_field(obj, key, source, kind=None):
+    """``obj[key]`` of a parsed JSON object; a missing key, or a value that is
+    not a ``kind`` when one is given, is a ``FormatError`` naming ``source``
+    and the key."""
     if not isinstance(obj, dict) or key not in obj:
         raise FormatError(f"{source}: missing key {key!r}")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise FormatError(f"{source}: key {key!r} holds {type(value).__name__}, "
+                          f"not {kind.__name__}")
+    return value
 
 
 def atomic_write_bytes(path, data):

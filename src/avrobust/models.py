@@ -508,9 +508,10 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
     Fits the model's input normalization first.  For fusion models each
     modality's parameter-gradient block is rescaled to a common L2 norm
     before every update.  The loss is logged every 10 steps and at the
-    last one.  Deterministic given (model init, data, seed): shuffling
-    and dropout draw from seeds derived from ``seed`` and the step
-    counter.
+    last one; a non-finite loss stops training with a ``ValidationError``
+    naming its (1-based) step.  Deterministic given (model init, data,
+    seed): shuffling and dropout draw from seeds derived from ``seed`` and
+    the step counter.
     """
     audio = np.asarray(audio)
     labels = check_binary_targets(labels)
@@ -536,6 +537,8 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
         loss, grads = model.loss_and_param_grads(
             batch_audio, batch_video, labels[idx], training=True,
             seed_base=_derive_seed(seed, step + 1))
+        if not math.isfinite(loss):
+            raise ValidationError(f"training loss is {loss} at step {step + 1} of {steps}")
         if is_fusion:
             result.balance_log.append((step, *balance_gradients(grads)))
         opt.step(grads)
@@ -610,17 +613,22 @@ def load_checkpoint(path, seed=0):
     blob = raw[8 + json_len:]
     source = f"checkpoint index of {path}"
     kind = json_field(index, "kind", source)
-    config = json_field(index, "config", source)
+    config = json_field(index, "config", source, dict)
     if kind == "csn":
-        model = CsnModel(CsnConfig.from_dict(config), seed=seed)
+        config_cls, model_cls = CsnConfig, CsnModel
     elif kind == "resnet":
-        model = ResnetModel(ResnetConfig.from_dict(config), seed=seed)
+        config_cls, model_cls = ResnetConfig, ResnetModel
     else:
         raise FormatError(f"unknown checkpoint kind {kind!r}")
+    try:
+        config = config_cls.from_dict(config)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: key 'config' is not a {kind} config: {exc}") from exc
+    model = model_cls(config, seed=seed)
     arrays = {}
-    for name, entry in json_field(index, "tensors", source).items():
-        offset = json_field(entry, "offset", f"{source}, tensor {name!r}")
-        shape = json_field(entry, "shape", f"{source}, tensor {name!r}")
+    for name, entry in json_field(index, "tensors", source, dict).items():
+        offset = json_field(entry, "offset", f"{source}, tensor {name!r}", int)
+        shape = json_field(entry, "shape", f"{source}, tensor {name!r}", list)
         try:
             arr, _ = tensor_from_bytes(blob, offset)
         except FormatError as exc:

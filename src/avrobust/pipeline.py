@@ -19,10 +19,10 @@ Every artifact is a pure function of (config, seeds), so identical
 configs reproduce byte-identical files.
 
 Independent jobs run through ``_map_on_workers``: a pool of forked
-workers, one per usable CPU and each pinned to one BLAS thread, that
-returns results in job order.  ``run_synth`` and ``generate_dataset``
-hand it one job per clip; ``run_sweep`` hands it the attacked cells,
-after training every checkpoint in this process.  With one CPU or one
+workers, one per usable CPU and each pinned to one BLAS thread and one
+autodiff op thread, that returns results in job order.  ``run_synth``
+and ``generate_dataset`` hand it one job per clip; ``run_sweep`` hands
+it the attacked cells, after training every checkpoint in this process.  With one CPU or one
 job the jobs run here, one after another, and write the same bytes.
 """
 
@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from . import audio as au
+from . import autodiff as ad
 from . import attacks as atk
 from . import metrics as mx
 from . import models as M
@@ -120,14 +121,19 @@ def _openblas_thread_setter():
     return fn
 
 
+def _init_worker(set_blas_threads):
+    set_blas_threads(1)
+    ad._OP_THREADS = 1
+
+
 def _map_on_workers(fn, jobs):
     """``[fn(*job) for job in jobs]``, computed on a pool of forked workers.
 
     One worker per usable CPU and at most one per job, each pinned to one
-    BLAS thread: two workers with two BLAS threads each would
-    oversubscribe the cores.  Jobs go out in chunks of about a quarter of
-    each worker's share, so hundreds of small jobs are not as many pipe
-    round trips.  Falls back to this process, one job after another, when
+    BLAS thread and one autodiff op thread: two workers with two threads
+    each would oversubscribe the cores.  Jobs go out in chunks of about a
+    quarter of each worker's share, so hundreds of small jobs are not as
+    many pipe round trips.  Falls back to this process, one job after another, when
     there is one CPU or job, or when the BLAS thread count cannot be set.
     Results keep job order; an exception raised by any job re-raises here
     and the jobs not yet started are cancelled.
@@ -142,9 +148,10 @@ def _map_on_workers(fn, jobs):
     # fork: workers start with this process's imports and state instead of
     # re-importing numpy, and the initializer is inherited, not pickled; the
     # fork context launches every worker before the executor starts its own
-    # threads, and OpenBLAS quiesces its thread pool across a fork
+    # threads, OpenBLAS quiesces its thread pool across a fork, and autodiff
+    # drops its op-thread executor in the child
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=set_blas_threads, initargs=(1,))
+                               initializer=_init_worker, initargs=(set_blas_threads,))
     try:
         return list(pool.map(fn, *zip(*jobs),
                              chunksize=max(1, len(jobs) // (4 * workers))))
@@ -389,12 +396,14 @@ _SWEEP_HEADERS = {
 }
 
 
-def _fmt_metric(v):
-    return "inf" if v is None else f"{v:.6f}"
+def _fmt_dprime(report):
+    if report.dprime is None:       # saturated: the AUC is exactly 0 or 1
+        return "-inf" if report.auc < 0.5 else "inf"
+    return f"{report.dprime:.6f}"
 
 
 def _report_cells(report):
-    return f"{report.map:.6f},{report.auc:.6f},{_fmt_metric(report.dprime)}"
+    return f"{report.map:.6f},{report.auc:.6f},{_fmt_dprime(report)}"
 
 
 def _attacked_cell(cell_config, workdir, ckpt, axis, label):

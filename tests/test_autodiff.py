@@ -133,6 +133,33 @@ class TestPool2d:
         grads = tape.backward(out, params=[x])
         np.testing.assert_array_equal(grads[x], [[[0.0, 0.0], [0.0, 1.0]]])
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_max_gradient_with_ties_routes_to_first_maximum(self, monkeypatch, threads):
+        """With exact ties the gradient is the one at an input whose first
+        maximum (row-major in its window) is raised above the others."""
+        monkeypatch.setattr(ad, "_OP_THREADS", threads)
+        monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
+        rng = np.random.default_rng(4)
+        x = rng.integers(0, 2, size=(3, 2, 4, 6)).astype(np.float64)   # many ties
+        w = rng.standard_normal((3, 2, 2, 2))
+
+        def loss(a):
+            return ad.reduce_sum(ad.mul(ad.pool2d(a, (2, 3), "max"), w))
+
+        xt = ad.Tensor(x, requires_grad=True)
+        with ad.Tape() as tape:
+            out = loss(xt)
+        grad = tape.backward(out, params=[xt])[xt]
+        windows = x.reshape(3, 2, 2, 2, 2, 3).transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 2, 2, 6)
+        assert np.any((windows == windows.max(axis=-1, keepdims=True)).sum(axis=-1) > 1)
+        first = windows.argmax(axis=-1)                # numpy's argmax takes the first
+        raised = windows.copy()
+        np.put_along_axis(raised, first[..., None], windows.max(axis=-1)[..., None] + 0.5,
+                          axis=-1)
+        raised = raised.reshape(3, 2, 2, 2, 2, 3).transpose(0, 1, 2, 4, 3, 5).reshape(x.shape)
+        numeric = finite_difference(lambda a: loss(ad.Tensor(a)).item(), raised)
+        np.testing.assert_allclose(grad, numeric, rtol=1e-6, atol=1e-8)
+
     def test_window_exceeds_input(self):
         with pytest.raises(DimensionError):
             ad.pool2d(ad.Tensor(np.zeros((1, 2, 2))), (3, 1))

@@ -16,7 +16,7 @@ from avrobust.cli import main
 from avrobust.config import parse_config
 from avrobust.container import read_feature_file
 from avrobust.errors import ValidationError
-from avrobust.metrics import EvalReport
+from avrobust.metrics import EvalReport, compute_report
 
 MICRO = """
 [dataset]
@@ -250,6 +250,28 @@ class TestSweep:
         assert lines[1].split(",")[:2] == ["audio_only", "no"]
         assert lines[2].split(",")[:2] == ["audio_only", "yes"]
 
+    @pytest.mark.parametrize("auc, dprime", [(0.0, "-inf"), (1.0, "inf")])
+    def test_saturated_dprime_keeps_its_sign(self, micro_copy, monkeypatch, auc, dprime):
+        """At AUC 0 d-prime is -inf, at AUC 1 it is +inf; a sweep row prints the sign."""
+        config, workdir = micro_copy
+        targets = np.array([[1.0, 0.0], [0.0, 1.0]])
+        report = compute_report(targets if auc else 1.0 - targets, targets)
+        assert report.auc == auc and report.dprime is None
+
+        def saturated_eval(config, workdir, checkpoint, perturbation=None, out=None):
+            Path(out).write_text(report.to_json())
+            return Path(out)
+
+        _use_cpus(monkeypatch, 1)
+        monkeypatch.setattr(pipeline, "run_eval", saturated_eval)
+        plan = pipeline.build_sweep_plan("freq", config, masks=[None], eps_list=[0.2])
+        out_path, failures = pipeline.run_sweep(config, workdir, plan)
+        assert failures == []
+        rows = out_path.read_text().splitlines()[1:]
+        assert len(rows) == 2        # clean row + one attacked cell
+        for row in rows:
+            assert row.split(",")[-1] == dprime
+
 
 def _corrupt_checkpoint(path, key):
     """Drop ``key`` from the checkpoint's JSON index (a tensor entry's for
@@ -309,6 +331,40 @@ class TestCorruptInputs:
         assert "i/o error:" in err and "Traceback" not in err
         if key is not None:
             assert repr(key) in err
+
+
+def _edit_checkpoint_index(path, edit):
+    """Apply ``edit`` to the checkpoint's parsed JSON index in place."""
+    raw = path.read_bytes()
+    (n,) = struct.unpack_from("<I", raw, 4)
+    index = json.loads(raw[8:8 + n])
+    edit(index)
+    body = json.dumps(index).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(body)) + body + raw[8 + n:])
+
+
+INDEX_EDITS = {   # case -> (edit, the index key the error names)
+    "offset-str": (lambda ix: next(iter(ix["tensors"].values())).update(offset="x"),
+                   "offset"),
+    "config-list": (lambda ix: ix.update(config=list(ix["config"].values())), "config"),
+    "config-unknown-key": (lambda ix: ix["config"].update(bogus=1), "config"),
+    "config-no-fusion": (lambda ix: ix["config"].pop("fusion"), "config"),
+    "config-bad-fusion": (lambda ix: ix["config"].update(fusion="sideways"), "config"),
+}
+
+
+class TestCheckpointIndexTypes:
+    @pytest.mark.parametrize("case", sorted(INDEX_EDITS))
+    def test_wrong_value_is_io_error(self, micro_copy, tmp_path, capsys, case):
+        _, workdir = micro_copy
+        edit, key = INDEX_EDITS[case]
+        ckpt = tmp_path / "edited.ckpt"
+        shutil.copy(workdir / "model.ckpt", ckpt)
+        _edit_checkpoint_index(ckpt, edit)
+        assert main(["eval", "--config", str(workdir / "config.ini"), "--workdir",
+                     str(workdir), "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error:" in err and repr(key) in err and "Traceback" not in err
 
 
 def _use_cpus(monkeypatch, n):

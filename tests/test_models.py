@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -348,6 +349,21 @@ class TestTraining:
         result = M.train_model(model, audio, labels, steps=2, batch_size=4, seed=0)
         assert result.steps == 2 and not result.balance_log
         assert model.predict_proba(audio).shape == (8, 3)
+
+    def test_non_finite_loss_names_its_step(self, monkeypatch):
+        audio, labels = make_overfit_set()
+        model = M.CsnModel(toy_config(), seed=26)
+        forward, calls = model.forward, []
+
+        def poisoned(*args, **kwargs):
+            calls.append(1)
+            probs = forward(*args, **kwargs)
+            return ad.scale(probs, math.nan) if len(calls) == 3 else probs
+
+        monkeypatch.setattr(model, "forward", poisoned)
+        with pytest.raises(ValidationError, match="step 3 of 5"):
+            M.train_model(model, audio, labels, steps=5, batch_size=8, seed=0)
+        assert len(calls) == 3
 
     def test_empty_split_rejected(self):
         model = M.CsnModel(toy_config(), seed=25)

@@ -197,8 +197,12 @@ def backward(loss, params=None, tape=None):
 # op threads
 
 _OP_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_SPLIT_MIN = 1 << 15        # kernels touching fewer elements run unsplit
-_executor = None            # (threads, ThreadPoolExecutor), made on first split
+# Kernels with less work run unsplit.  Timed on the benchmark's kernels
+# (2-CPU AMD EPYC, one BLAS thread), a call split in two took 2-10x its
+# unsplit time below 2**16 elements, about as long near 2**17, and
+# 0.5-0.85x from 2**18 up.
+_SPLIT_MIN = 1 << 17
+_executor = None            # ThreadPoolExecutor of _OP_THREADS - 1 threads, made on first split
 
 
 def _drop_executor():
@@ -207,25 +211,27 @@ def _drop_executor():
     _executor = None
 
 
-os.register_at_fork(after_in_child=_drop_executor)
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_executor)
 
 
 def _over_batch(fn, n, work):
     """Run ``fn(s)`` over contiguous slices ``s`` of a leading axis of length ``n``.
 
-    One slice per op thread when ``work`` (elements touched) reaches
-    ``_SPLIT_MIN``; the first slice runs in the calling thread.  With one
-    slice, ``fn(...)`` gets an Ellipsis, so it also takes 0-d arrays.
+    One slice per op thread when ``work`` reaches ``_SPLIT_MIN``; it counts
+    the elements of the kernel's largest array, or of both operands and the
+    product for a matmul.  The first slice runs in the calling thread.  With
+    one slice, ``fn(...)`` gets an Ellipsis, so it also takes 0-d arrays.
     """
     global _executor
     k = min(_OP_THREADS, n) if work >= _SPLIT_MIN else 1
     if k <= 1:
         fn(...)
         return
-    if _executor is None or _executor[0] < k - 1:
-        _executor = (k - 1, ThreadPoolExecutor(k - 1, thread_name_prefix="avrobust-op"))
+    if _executor is None:
+        _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
     bounds = [n * i // k for i in range(k + 1)]
-    futures = [_executor[1].submit(fn, slice(bounds[i], bounds[i + 1])) for i in range(1, k)]
+    futures = [_executor.submit(fn, slice(bounds[i], bounds[i + 1])) for i in range(1, k)]
     try:
         fn(slice(0, bounds[1]))
     finally:
@@ -247,7 +253,7 @@ def _bmm(a, b):
         np.matmul(a[s] if a.ndim == out.ndim and a.shape[0] == n else a,
                   b[s] if b.ndim == out.ndim and b.shape[0] == n else b, out=out[s])
 
-    _over_batch(part, n, out.size)
+    _over_batch(part, n, a.size + b.size + out.size)
     return out
 
 

@@ -139,6 +139,7 @@ class TestPool2d:
         maximum (row-major in its window) is raised above the others."""
         monkeypatch.setattr(ad, "_OP_THREADS", threads)
         monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "_executor", None)
         rng = np.random.default_rng(4)
         x = rng.integers(0, 2, size=(3, 2, 4, 6)).astype(np.float64)   # many ties
         w = rng.standard_normal((3, 2, 2, 2))

@@ -41,6 +41,7 @@ def toy_data(n, seed=0):
 def use_op_threads(monkeypatch, n):
     monkeypatch.setattr(ad, "_OP_THREADS", n)
     monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
+    monkeypatch.setattr(ad, "_executor", None)
 
 
 def train_and_probe(kind):
@@ -66,7 +67,6 @@ def test_training_and_gradients_identical_at_any_op_thread_count(monkeypatch, ki
     runs = {}
     for threads in (1, 2, 3):
         use_op_threads(monkeypatch, threads)
-        monkeypatch.setattr(ad, "_executor", None)
         runs[threads] = train_and_probe(kind)
         # one thread never starts the pool; more threads do
         assert (ad._executor is None) == (threads == 1)
@@ -139,3 +139,14 @@ def test_pool_workers_train_with_one_op_thread(monkeypatch):
         assert [params for _, params in results] == expected
 
     assert run_in_child(child) == 0
+
+
+def test_only_kernels_with_enough_work_split(monkeypatch):
+    monkeypatch.setattr(ad, "_OP_THREADS", 2)
+    monkeypatch.setattr(ad, "_executor", None)
+    ad.relu(ad.Tensor(np.ones((2, ad._SPLIT_MIN // 2 - 1))))
+    assert ad._executor is None
+    # a product as small as a conv weight gradient still splits: its operands count
+    k = ad._SPLIT_MIN // 4
+    ad.matmul(ad.Tensor(np.ones((2, 3, k))), ad.Tensor(np.ones((2, k, 2))))
+    assert ad._executor is not None

@@ -215,6 +215,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_executor)
 
 
+def _run_slice(box, s):
+    # The op thread lets go of ``fn``, and so of the arrays it captures,
+    # before its future completes, so they are always freed in the calling
+    # thread, in program order.  Freed from an op thread, at a moment that
+    # varies from run to run, they would leave the heap in a varying shape,
+    # and pool workers forked from it later would page-fault more or less
+    # by that shape.
+    box.pop()(s)
+
+
 def _over_batch(fn, n, work):
     """Run ``fn(s)`` over contiguous slices ``s`` of a leading axis of length ``n``.
 
@@ -231,7 +241,8 @@ def _over_batch(fn, n, work):
     if _executor is None:
         _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
     bounds = [n * i // k for i in range(k + 1)]
-    futures = [_executor.submit(fn, slice(bounds[i], bounds[i + 1])) for i in range(1, k)]
+    futures = [_executor.submit(_run_slice, [fn], slice(bounds[i], bounds[i + 1]))
+               for i in range(1, k)]
     try:
         fn(slice(0, bounds[1]))
     finally:

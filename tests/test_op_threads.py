@@ -10,6 +10,8 @@ import signal
 import sys
 import time
 import traceback
+import weakref
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -150,3 +152,33 @@ def test_only_kernels_with_enough_work_split(monkeypatch):
     k = ad._SPLIT_MIN // 4
     ad.matmul(ad.Tensor(np.ones((2, 3, k))), ad.Tensor(np.ones((2, k, 2))))
     assert ad._executor is not None
+
+
+class KeepingExecutor:
+    """Runs each job at once and keeps its callable and arguments, as an op
+    thread holds a finished job until it takes the next one."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, fn, *args):
+        self.jobs.append((fn, args))
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+
+def test_op_threads_keep_no_array_past_a_split(monkeypatch):
+    # a kernel's arrays are freed in the calling thread, in program order,
+    # however long an op thread holds on to the job it ran
+    use_op_threads(monkeypatch, 3)
+    monkeypatch.setattr(ad, "_executor", KeepingExecutor())
+    def summing(a):
+        return lambda s: a[s].sum()
+
+    x = np.ones((5, 4))
+    freed = weakref.ref(x)
+    ad._over_batch(summing(x), 5, x.size)
+    assert len(ad._executor.jobs) == 2
+    del x
+    assert freed() is None

@@ -122,14 +122,20 @@ class Mask:
                 "t_hi": None if self.time is None else self.time[1]}
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, source="mask"):
+        """Inverse of ``to_dict``; None when no range is set.  An end that is
+        not an int, or a range with one end only, is a ``FormatError``."""
         if d is None:
             return None
-        freq = None if d.get("f_lo") is None else (int(d["f_lo"]), int(d["f_hi"]))
-        time = None if d.get("t_lo") is None else (int(d["t_lo"]), int(d["t_hi"]))
-        if freq is None and time is None:
+        ranges = []
+        for lo, hi in (("f_lo", "f_hi"), ("t_lo", "t_hi")):
+            ends = tuple(json_field(d, key, source, int, default=None) for key in (lo, hi))
+            if (ends[0] is None) != (ends[1] is None):
+                raise FormatError(f"{source}: keys {lo!r} and {hi!r} must be set together")
+            ranges.append(None if ends[0] is None else ends)
+        if ranges == [None, None]:
             return None
-        return cls(freq=freq, time=time)
+        return cls(freq=ranges[0], time=ranges[1])
 
 
 @dataclass(frozen=True)
@@ -307,15 +313,24 @@ def load_perturbation(path):
         sidecar = json.loads(sidecar_path.read_text("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{source}: invalid JSON ({exc})") from exc
-    norm, epsilon, alpha, steps = (json_field(sidecar, key, source)
-                                   for key in ("norm", "epsilon", "alpha", "steps"))
-    cfg = AttackConfig(norm=norm, epsilon=epsilon, alpha=alpha, steps=steps,
-                       mask=Mask.from_dict(sidecar.get("mask")),
-                       seed=sidecar.get("seed", 0),
-                       direction=sidecar.get("direction", "ascent"),
-                       linf_normalize=sidecar.get("linf_normalize", "sign"),
-                       random_start=sidecar.get("random_start", False),
-                       batch_size=sidecar.get("batch_size", 32))
-    prov = {"manifest_hash": sidecar.get("manifest_hash"),
-            "steps_run": steps, "seed": sidecar.get("seed", 0)}
+    number = (int, float)
+    steps = json_field(sidecar, "steps", source, int)
+    seed = json_field(sidecar, "seed", source, int, default=0)
+    try:
+        cfg = AttackConfig(
+            norm=json_field(sidecar, "norm", source, str),
+            epsilon=json_field(sidecar, "epsilon", source, number),
+            alpha=json_field(sidecar, "alpha", source, number),
+            steps=steps,
+            mask=Mask.from_dict(json_field(sidecar, "mask", source, dict, default=None),
+                                f"{source}, key 'mask'"),
+            seed=seed,
+            direction=json_field(sidecar, "direction", source, str, default="ascent"),
+            linf_normalize=json_field(sidecar, "linf_normalize", source, str, default="sign"),
+            random_start=json_field(sidecar, "random_start", source, bool, default=False),
+            batch_size=json_field(sidecar, "batch_size", source, int, default=32))
+    except ConfigurationError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
+    prov = {"manifest_hash": json_field(sidecar, "manifest_hash", source, str, default=None),
+            "steps_run": steps, "seed": seed}
     return Perturbation(delta=delta, config=cfg, provenance=prov).validate()

@@ -11,8 +11,9 @@ All arithmetic is float64.  Operations validate shapes eagerly and
 raise :class:`~avrobust.errors.DimensionError` before touching data, so
 a failed call never leaves a partial node on the tape.
 
-The conv stack's kernels (batched matmul, im2col/col2im, max-pooling and
-relu, forward and backward) split the leading batch axis into one
+The conv stack's kernels (batched matmul, im2col/col2im, max-pooling,
+relu, and ``add_relu_pool``, the one node of a conv block's bias, relu
+and pooling; forward and backward) split the leading batch axis into one
 contiguous slice per usable CPU and run the slices on op threads; numpy
 releases the GIL inside them.  Each slice does exactly the per-clip
 arithmetic of an unsplit call into an output allocated by the caller,
@@ -38,7 +39,7 @@ __all__ = [
     "matmul", "reshape", "transpose", "concat", "gather_rows",
     "reduce_sum", "reduce_mean",
     "relu", "sigmoid", "softmax",
-    "conv2d", "pool2d", "attention", "dropout",
+    "conv2d", "pool2d", "add_relu_pool", "attention", "dropout",
     "bce_with_logits", "bce_on_probs",
 ]
 
@@ -575,36 +576,64 @@ def conv2d(x, kernels, padding=(0, 0)):
     return out
 
 
-def pool2d(x, window, mode="max"):
-    """Non-overlapping pooling; trailing remainder rows/cols are dropped."""
-    x = _as_tensor(x)
+def _pool_extents(window, t, f):
+    """Checked ``(wt, wf, to, fo)`` of non-overlapping pooling over a (T,F) grid."""
     wt, wf = int(window[0]), int(window[1])
     if wt < 1 or wf < 1:
         raise ConfigurationError(f"pool window extents must be >= 1, got {(wt, wf)}")
+    if wt > t or wf > f:
+        raise DimensionError(f"pool window {(wt, wf)} exceeds input extents {(t, f)}")
+    return wt, wf, t // wt, f // wf
+
+
+def _cell(arr, i, j, wt, wf, to, fo):
+    """Entry ``(i, j)`` of every ``(wt, wf)`` window of a (...,T,F) array."""
+    return arr[..., i:to * wt:wt, j:fo * wf:wf]
+
+
+def _max_pool(x, y, wt, wf):
+    """Write the maximum of each ``(wt, wf)`` window of ``x`` into ``y``."""
+    to, fo = y.shape[-2:]
+    np.copyto(y, _cell(x, 0, 0, wt, wf, to, fo))
+    for i in range(wt):
+        for j in range(wf):
+            if i or j:
+                np.maximum(y, _cell(x, i, j, wt, wf, to, fo), out=y)
+
+
+def _route_to_first_max(x, y, g, dx, wt, wf):
+    """Copy ``g`` into the zeroed ``dx`` at each window's first maximum of ``x``.
+
+    ``y`` holds the window maxima.  Windows are scanned row-major, so ties
+    break the same way every time; ``free`` marks the windows not yet routed.
+    """
+    to, fo = y.shape[-2:]
+    hit = np.empty(y.shape, dtype=bool)
+    free = np.ones(y.shape, dtype=bool)
+    for i in range(wt):
+        for j in range(wf):
+            np.equal(_cell(x, i, j, wt, wf, to, fo), y, out=hit)
+            hit &= free
+            np.copyto(_cell(dx, i, j, wt, wf, to, fo), g, where=hit)
+            free ^= hit
+
+
+def pool2d(x, window, mode="max"):
+    """Non-overlapping pooling; trailing remainder rows/cols are dropped."""
+    x = _as_tensor(x)
     if mode not in ("max", "mean"):
         raise ConfigurationError(f"unknown pool mode {mode!r}")
     x4, squeezed = _lift_to_4d(x)
     b, c, t, f = x4.shape
-    if wt > t or wf > f:
-        raise DimensionError(f"pool window {(wt, wf)} exceeds input extents {(t, f)}")
-    to, fo = t // wt, f // wf
+    wt, wf, to, fo = _pool_extents(window, t, f)
 
     def cell(arr, i, j):
-        return arr[:, :, i:to * wt:wt, j:fo * wf:wf]
+        return _cell(arr, i, j, wt, wf, to, fo)
 
     data = x4.data
     if mode == "max":
         out_data = np.empty((b, c, to, fo))
-
-        def forward(s):
-            xs, ys = data[s], out_data[s]
-            np.copyto(ys, cell(xs, 0, 0))
-            for i in range(wt):
-                for j in range(wf):
-                    if i or j:
-                        np.maximum(ys, cell(xs, i, j), out=ys)
-
-        _over_batch(forward, b, data.size)
+        _over_batch(lambda s: _max_pool(data[s], out_data[s], wt, wf), b, data.size)
     else:
         out_data = cell(data, 0, 0).copy()
         for i in range(wt):
@@ -617,22 +646,8 @@ def pool2d(x, window, mode="max"):
     def vjp(g):
         dx = np.zeros((b, c, t, f), dtype=np.float64)
         if mode == "max":
-            # route to the first maximum, scanning the window row-major
-            # (deterministic tie-breaking); ``free`` marks the windows not
-            # yet routed
-            hit = np.empty((b, c, to, fo), dtype=bool)
-            free = np.ones((b, c, to, fo), dtype=bool)
-
-            def backward(s):
-                xs, ys, gs, dxs, hits, frees = data[s], out_data[s], g[s], dx[s], hit[s], free[s]
-                for i in range(wt):
-                    for j in range(wf):
-                        np.equal(cell(xs, i, j), ys, out=hits)
-                        hits &= frees
-                        np.copyto(cell(dxs, i, j), gs, where=hits)
-                        frees ^= hits
-
-            _over_batch(backward, b, data.size)
+            _over_batch(lambda s: _route_to_first_max(data[s], out_data[s], g[s], dx[s], wt, wf),
+                        b, data.size)
         else:
             share = g / (wt * wf)
             for i in range(wt):
@@ -644,6 +659,63 @@ def pool2d(x, window, mode="max"):
     if squeezed:
         out = reshape(out, (c, to, fo))
     return out
+
+
+def add_relu_pool(x, b, window=(1, 1)):
+    """``pool2d(relu(add(x, b)), window, "max")`` as one tape node: a conv block's tail.
+
+    ``x`` is (B,C,T,F) and ``b`` broadcasts to it: a (C,1,1) bias, or a
+    residual branch of x's shape.  A ``(1, 1)`` window skips the pooling.
+    The forward writes ``x + b`` into one buffer, applies relu in place and
+    max-pools that buffer; the backward routes the gradient to each
+    window's first maximum, masked by ``z > 0`` (at a routed entry ``z``
+    is the window's maximum, so the mask is taken on the pooled gradient).
+    The chain of three ops kept three full-size activations and made
+    three full-size gradients; this node keeps one of each, and its
+    outputs and gradients are byte-identical to the chain's.
+    """
+    x, b = _as_tensor(x), _as_tensor(b)
+    if x.ndim != 4:
+        raise DimensionError(f"expected (B,C,T,F) input, got shape {x.shape}")
+    try:
+        fits = np.broadcast_shapes(x.shape, b.shape) == x.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise DimensionError(f"{b.shape} does not broadcast to input shape {x.shape}")
+    n, c, t, f = x.shape
+    wt, wf, to, fo = _pool_extents(window, t, f)
+    pooled = (wt, wf) != (1, 1)
+    x_data, b_data, b_shape = x.data, b.data, b.shape
+    b_batched = b.ndim == 4 and b_shape[0] == n
+    z = np.empty(x.shape)
+    y = np.empty((n, c, to, fo)) if pooled else z
+
+    def forward(s):
+        zs = z[s]
+        np.add(x_data[s], b_data[s] if b_batched else b_data, out=zs)
+        np.maximum(zs, 0.0, out=zs)
+        if pooled:
+            _max_pool(zs, y[s], wt, wf)
+
+    _over_batch(forward, n, z.size)
+    out = Tensor._wrap(y, x.requires_grad or b.requires_grad)
+    need_x, need_b = x.requires_grad, b.requires_grad
+
+    def vjp(g):
+        dz = np.zeros(z.shape) if pooled else np.empty(z.shape)
+
+        def backward(s):
+            if pooled:
+                ys = y[s]
+                _route_to_first_max(z[s], ys, g[s] * (ys > 0), dz[s], wt, wf)
+            else:
+                np.multiply(g[s], z[s] > 0, out=dz[s])
+
+        _over_batch(backward, n, z.size)
+        return (dz if need_x else None, _unbroadcast(dz, b_shape) if need_b else None)
+
+    return _record(out, (x, b), vjp, "add_relu_pool")
 
 
 # ---------------------------------------------------------------------------

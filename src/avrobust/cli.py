@@ -24,6 +24,37 @@ EXIT_CONFIG = 2
 EXIT_IO = 3
 EXIT_VALIDATION = 4
 
+# glibc mallopt parameters (<malloc.h>) and the values main() sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 1 << 30), (_M_TRIM_THRESHOLD, 1 << 30))
+_heap_policy = None         # mallopt's return values, once applied
+
+
+def keep_heap_mapped():
+    """Make glibc's malloc keep freed memory mapped for the next step; once per process.
+
+    Every tape step allocates and frees the same 1-75 MB arrays.  By
+    default glibc serves the largest from fresh mappings and hands the
+    freed top of its heap back to the kernel, and the next step
+    page-faults it all in again.  With this policy every block under
+    1 GiB comes from the heap, and the heap is trimmed only when 1 GiB
+    of its top is free.  Forked pool workers inherit it.  It changes no
+    computed byte.  Returns mallopt's return values (1 is success), or
+    None where the C library has no ``mallopt``.
+    """
+    global _heap_policy
+    if _heap_policy is None:
+        import ctypes
+        try:
+            mallopt = ctypes.CDLL(None).mallopt
+        except (OSError, TypeError, AttributeError):
+            return None
+        mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+        mallopt.restype = ctypes.c_int
+        _heap_policy = tuple(mallopt(param, value) for param, value in _HEAP_POLICY)
+    return _heap_policy
+
 
 def _parse_option(flag, parse, raw):
     """Parse one option value with the config file's parser."""
@@ -186,6 +217,7 @@ def _run(args):
 
 
 def main(argv=None):
+    keep_heap_mapped()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -78,16 +78,27 @@ def tensor_from_bytes(buf, offset=0):
     return arr.copy(), payload_end
 
 
-def json_field(obj, key, source, kind=None):
-    """``obj[key]`` of a parsed JSON object; a missing key, or a value that is
-    not a ``kind`` when one is given, is a ``FormatError`` naming ``source``
-    and the key."""
-    if not isinstance(obj, dict) or key not in obj:
+_REQUIRED = object()
+
+
+def json_field(obj, key, source, kind=None, default=_REQUIRED):
+    """``obj[key]`` of a parsed JSON object.
+
+    A missing key is a ``FormatError`` naming ``source`` and the key, unless
+    a ``default`` is given: a missing key or a null then reads as it.  With
+    ``kind`` (a type or a tuple of types), a value of any other type is a
+    ``FormatError`` too; a JSON boolean is not an int or a float.
+    """
+    if not isinstance(obj, dict) or (key not in obj and default is _REQUIRED):
         raise FormatError(f"{source}: missing key {key!r}")
-    value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    value = obj.get(key)
+    if value is None and default is not _REQUIRED:
+        return default
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if kind is not None and (not isinstance(value, kinds)
+                             or (isinstance(value, bool) and bool not in kinds)):
         raise FormatError(f"{source}: key {key!r} holds {type(value).__name__}, "
-                          f"not {kind.__name__}")
+                          f"not {' or '.join(k.__name__ for k in kinds)}")
     return value
 
 

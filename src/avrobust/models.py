@@ -279,11 +279,8 @@ class CsnModel(_ModelBase):
         h = ad.reshape(x, (b, 1, t, f))
         for i in range(len(cfg.conv_channels)):
             h = ad.conv2d(h, self.params[f"audio.conv{i}.w"], padding=(1, 1))
-            h = ad.add(h, self.params[f"audio.conv{i}.b"])
-            h = ad.relu(h)
-            pool = (cfg.pool_time[i], cfg.pool_freq[i])
-            if pool != (1, 1):
-                h = ad.pool2d(h, pool, mode="max")
+            h = ad.add_relu_pool(h, self.params[f"audio.conv{i}.b"],
+                                 (cfg.pool_time[i], cfg.pool_freq[i]))
         _, c, t4, f_red = h.shape
         h = ad.transpose(h, (0, 2, 1, 3))
         h = ad.reshape(h, (b, t4, c * f_red))
@@ -435,27 +432,20 @@ class ResnetModel(_ModelBase):
         if t % 4 != 0:
             raise DimensionError(f"frame count {t} not divisible by 4")
         h = ad.reshape(audio, (b, 1, t, f))
-        h = ad.relu(ad.add(ad.conv2d(h, self.params["stem.w"], padding=(1, 1)),
-                           self.params["stem.b"]))
-        h = self._maybe_pool(h, 0)
+        h = ad.add_relu_pool(ad.conv2d(h, self.params["stem.w"], padding=(1, 1)),
+                             self.params["stem.b"], (cfg.pool_time[0], cfg.pool_freq[0]))
         for i in range(cfg.blocks):
-            branch = ad.relu(ad.add(
+            branch = ad.add_relu_pool(
                 ad.conv2d(h, self.params[f"block{i}.conv1.w"], padding=(1, 1)),
-                self.params[f"block{i}.conv1.b"]))
+                self.params[f"block{i}.conv1.b"])
             branch = ad.add(
                 ad.conv2d(branch, self.params[f"block{i}.conv2.w"], padding=(1, 1)),
                 self.params[f"block{i}.conv2.b"])
-            h = ad.relu(ad.add(h, branch))
-            h = self._maybe_pool(h, i + 1)
+            # the residual sum takes the bias's place
+            h = ad.add_relu_pool(h, branch, (cfg.pool_time[i + 1], cfg.pool_freq[i + 1]))
         pooled = ad.reduce_mean(ad.reduce_mean(h, axis=-1), axis=-1)   # (B,C_stem)
         logits = ad.add(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
         return ad.sigmoid(logits)
-
-    def _maybe_pool(self, h, i):
-        pool = (self.config.pool_time[i], self.config.pool_freq[i])
-        if pool != (1, 1):
-            return ad.pool2d(h, pool, mode="max")
-        return h
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,72 @@ class TestPool2d:
                 x, rtol=1e-6)
 
 
+def _block_tail(fused, x, b, window, w):
+    """Output, x gradient and b gradient of ``sum(w * tail(x, b))``, where the
+    tail is ``add_relu_pool`` or the add -> relu -> max-pool chain it fuses."""
+    xt, bt = ad.Tensor(x, requires_grad=True), ad.Tensor(b, requires_grad=True)
+    with ad.Tape() as tape:
+        if fused:
+            out = ad.add_relu_pool(xt, bt, window)
+        else:
+            out = ad.relu(ad.add(xt, bt))
+            if window != (1, 1):
+                out = ad.pool2d(out, window, "max")
+        loss = ad.reduce_sum(ad.mul(out, w))
+    grads = tape.backward(loss, params=[xt, bt])
+    return out.data, grads[xt], grads[bt]
+
+
+class TestAddReluPool:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("window", [(1, 1), (2, 3), (3, 4)])
+    @pytest.mark.parametrize("data", ["ties", "normal"])
+    @pytest.mark.parametrize("b_kind", ["bias", "residual"])
+    def test_bytes_equal_the_unfused_chain(self, monkeypatch, threads, window, data, b_kind):
+        monkeypatch.setattr(ad, "_OP_THREADS", threads)
+        monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
+        monkeypatch.setattr(ad, "_executor", None)
+        rng = np.random.default_rng(6)
+        shape = (5, 3, 4, 6)
+        b_shape = (3, 1, 1) if b_kind == "bias" else shape
+        if data == "ties":      # 0/1 inputs and integer biases: exact ties everywhere
+            x = rng.integers(0, 2, size=shape).astype(np.float64)
+            b = rng.integers(-1, 2, size=b_shape).astype(np.float64)
+        else:
+            x = rng.standard_normal(shape)
+            b = np.clip(rng.standard_normal(b_shape), -1.0, 1.0)
+        x[:, :, :3, :4] = -2.0 - np.abs(x[:, :, :3, :4])   # windows all <= 0 after the add
+        w = rng.standard_normal(_block_tail(False, x, b, window, 1.0)[0].shape)
+        fused = _block_tail(True, x, b, window, w)
+        chain = _block_tail(False, x, b, window, w)
+        for got, want in zip(fused, chain):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert (threads == 1) == (ad._executor is None)
+
+    def test_gradients_match_finite_differences(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((2, 3, 4, 6))
+        b = rng.standard_normal((3, 1, 1))
+        w = rng.standard_normal((2, 3, 2, 3))
+        for window in ((2, 2), (1, 1)):
+            ww = w if window == (2, 2) else np.ones(x.shape)
+            grad_of(lambda a, c, window=window, ww=ww:
+                    ad.reduce_sum(ad.mul(ad.add_relu_pool(a, c, window), ww)), x, b, rtol=1e-5)
+
+    def test_shape_errors(self):
+        x = ad.Tensor(np.zeros((1, 2, 4, 4)))
+        with pytest.raises(DimensionError):
+            ad.add_relu_pool(x, ad.Tensor(np.zeros((3, 1, 1))))
+        with pytest.raises(DimensionError):
+            ad.add_relu_pool(x, ad.Tensor(np.zeros((2, 2, 4, 4))))   # would broadcast x up
+        with pytest.raises(DimensionError):
+            ad.add_relu_pool(ad.Tensor(np.zeros((2, 4, 4))), ad.Tensor(np.zeros((2, 1, 1))))
+        with pytest.raises(DimensionError):
+            ad.add_relu_pool(x, ad.Tensor(np.zeros((2, 1, 1))), (5, 1))
+        with pytest.raises(ConfigurationError):
+            ad.add_relu_pool(x, ad.Tensor(np.zeros((2, 1, 1))), (0, 1))
+
+
 class TestPointwise:
     def test_sigmoid_symmetry(self):
         assert ad.sigmoid(ad.Tensor([0.0])).data[0] == 0.5

@@ -4,6 +4,8 @@ import json
 import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +14,7 @@ import pytest
 from avrobust import attacks as atk
 from avrobust import models as M
 from avrobust import pipeline
-from avrobust.cli import main
+from avrobust.cli import keep_heap_mapped, main
 from avrobust.config import parse_config
 from avrobust.container import read_feature_file
 from avrobust.errors import ValidationError
@@ -365,6 +367,75 @@ class TestCheckpointIndexTypes:
                      str(workdir), "--checkpoint", str(ckpt)]) == 3
         err = capsys.readouterr().err
         assert "i/o error:" in err and repr(key) in err and "Traceback" not in err
+
+
+SIDECAR_EDITS = {   # case -> (key, value written over it)
+    "mask-list": ("mask", [1]),
+    "mask-end-str": ("mask", {"f_lo": "a", "f_hi": 4, "t_lo": None, "t_hi": None}),
+    "mask-one-end": ("mask", {"f_lo": 0, "f_hi": None, "t_lo": None, "t_hi": None}),
+    "steps-str": ("steps", "x"),
+    "steps-negative": ("steps", -1),
+    "epsilon-str": ("epsilon", "x"),
+    "epsilon-bool": ("epsilon", True),
+    "epsilon-negative": ("epsilon", -1.0),
+    "batch_size-str": ("batch_size", "x"),
+    "seed-str": ("seed", "x"),
+    "random_start-str": ("random_start", "yes"),
+    "direction-int": ("direction", 5),
+    "direction-unknown": ("direction", "sideways"),
+    "norm-int": ("norm", 3),
+    "norm-unknown": ("norm", "l5"),
+    "manifest_hash-int": ("manifest_hash", 7),
+}
+
+
+class TestSidecarValueTypes:
+    @pytest.mark.parametrize("case", sorted(SIDECAR_EDITS))
+    def test_wrong_value_is_io_error(self, micro_copy, capsys, case):
+        _, workdir = micro_copy
+        key, value = SIDECAR_EDITS[case]
+        delta = workdir / "zero.avfb"
+        atk.save_perturbation(delta, atk.Perturbation(
+            delta=np.zeros((40, 64)),
+            config=atk.AttackConfig(norm="l2", epsilon=1.0, alpha=0.1, steps=0),
+            provenance={"manifest_hash": "x", "steps_run": 0}))
+        sidecar = json.loads((workdir / "zero.json").read_text())
+        sidecar[key] = value
+        (workdir / "zero.json").write_text(json.dumps(sidecar))
+        assert main(["eval", "--config", str(workdir / "config.ini"), "--workdir",
+                     str(workdir), "--perturbation", str(delta)]) == 3
+        err = capsys.readouterr().err
+        line = next(ln for ln in err.splitlines() if ln.startswith("i/o error:"))
+        assert key in line.rpartition("zero.json")[2]      # named after the path
+        assert "Traceback" not in err
+
+
+HEAP_ROUNDS = """
+import resource
+import numpy as np
+from avrobust.cli import keep_heap_mapped
+
+def round_faults():
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    arrays = [np.ones(1 << 20) for _ in range(20)]     # twenty touched 8-MB arrays
+    del arrays
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(keep_heap_mapped(), round_faults(), round_faults())
+"""
+
+
+def test_heap_policy_keeps_freed_arrays_mapped():
+    """A second round of the same large allocations takes almost no page faults."""
+    if keep_heap_mapped() is None:
+        pytest.skip("the C library has no mallopt")
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    out = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    applied, _, second = out.rsplit(maxsplit=2)
+    assert applied == "(1, 1)"
+    pages = 20 * (8 << 20) // os.sysconf("SC_PAGE_SIZE")
+    assert int(second) < pages // 100
 
 
 def _use_cpus(monkeypatch, n):

@@ -159,6 +159,8 @@ class AttackConfig:
                 raise ConfigurationError(f"{name} must be positive and finite, got {value}")
         if self.steps is not None and self.steps < 0:
             raise ConfigurationError(f"steps must be >= 0, got {self.steps}")
+        if self.batch_size < 1:
+            raise ConfigurationError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.direction not in ("ascent", "descent"):
             raise ConfigurationError(f"direction must be ascent or descent, got {self.direction!r}")
         if self.linf_normalize not in ("sign", "scale"):

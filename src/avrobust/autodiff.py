@@ -670,9 +670,9 @@ def add_relu_pool(x, b, window=(1, 1)):
     max-pools that buffer; the backward routes the gradient to each
     window's first maximum, masked by ``z > 0`` (at a routed entry ``z``
     is the window's maximum, so the mask is taken on the pooled gradient).
-    The chain of three ops kept three full-size activations and made
-    three full-size gradients; this node keeps one of each, and its
-    outputs and gradients are byte-identical to the chain's.
+    It keeps one full-size activation and makes one full-size gradient,
+    where the three ops keep three of each; its outputs and gradients
+    are byte-identical to theirs.
     """
     x, b = _as_tensor(x), _as_tensor(b)
     if x.ndim != 4:

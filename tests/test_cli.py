@@ -379,6 +379,7 @@ SIDECAR_EDITS = {   # case -> (key, value written over it)
     "epsilon-bool": ("epsilon", True),
     "epsilon-negative": ("epsilon", -1.0),
     "batch_size-str": ("batch_size", "x"),
+    "batch_size-zero": ("batch_size", 0),
     "seed-str": ("seed", "x"),
     "random_start-str": ("random_start", "yes"),
     "direction-int": ("direction", 5),

@@ -172,9 +172,10 @@ class AttackConfig:
         return max(1, math.ceil(self.epsilon / self.alpha))
 
     def to_dict(self):
+        """The sidecar's attack keys; an unset mask is a dict of nulls."""
         return {"norm": self.norm, "epsilon": self.epsilon, "alpha": self.alpha,
                 "steps": self.resolved_steps(),
-                "mask": None if self.mask is None else self.mask.to_dict(),
+                "mask": (self.mask or Mask()).to_dict(),
                 "seed": self.seed, "direction": self.direction,
                 "linf_normalize": self.linf_normalize,
                 "random_start": self.random_start, "batch_size": self.batch_size}
@@ -292,14 +293,9 @@ def save_perturbation(path, perturbation):
     path = Path(path)
     perturbation.validate()
     atomic_write_bytes(path, tensor_bytes(perturbation.delta, dtype="float64"))
-    cfg = perturbation.config
-    sidecar = {"norm": cfg.norm, "epsilon": cfg.epsilon, "alpha": cfg.alpha,
-               "steps": perturbation.provenance.get("steps_run", cfg.resolved_steps()),
-               "mask": Mask().to_dict() if cfg.mask is None else cfg.mask.to_dict(),
-               "manifest_hash": perturbation.provenance.get("manifest_hash"),
-               "seed": cfg.seed, "direction": cfg.direction,
-               "linf_normalize": cfg.linf_normalize,
-               "random_start": cfg.random_start, "batch_size": cfg.batch_size}
+    prov = perturbation.provenance
+    sidecar = dict(perturbation.config.to_dict(), manifest_hash=prov.get("manifest_hash"),
+                   steps=prov.get("steps_run", perturbation.config.resolved_steps()))
     atomic_write_bytes(path.with_suffix(".json"),
                        (json.dumps(sidecar, sort_keys=True, indent=1) + "\n").encode())
 

@@ -13,8 +13,7 @@ import sys
 from pathlib import Path
 
 from . import pipeline
-from .config import (ExperimentConfig, _parse_floats, _parse_range, _positive,
-                     parse_config)
+from .config import ExperimentConfig, _parse_floats, _parse_range, parse_config
 from .errors import ConfigurationError, FormatError, ValidationError
 
 __all__ = ["main"]
@@ -75,16 +74,9 @@ def _load_config(args):
     for line in defaults:
         print(f"config default applied: {line}", file=sys.stderr)
 
-    attack_over = {}
-    if getattr(args, "norm", None):
-        attack_over["norm"] = args.norm
-    if getattr(args, "eps", None) is not None:
-        _parse_option("--eps", _positive("value"), args.eps)
-        attack_over["eps"] = args.eps
-    if getattr(args, "alpha", None) is not None:
-        attack_over["alpha"] = args.alpha
-    if getattr(args, "steps", None) is not None:
-        attack_over["steps"] = args.steps
+    # every override is checked as the config file's keys are
+    attack_over = {key: getattr(args, key) for key in ("norm", "eps", "alpha", "steps")
+                   if getattr(args, key, None) is not None}
     for key, flag in (("freq_mask", "--freq-mask"), ("time_mask", "--time-mask")):
         if getattr(args, key, None) is not None:
             attack_over[key] = _parse_option(flag, _parse_range, getattr(args, key))
@@ -198,8 +190,6 @@ def _run(args):
                      for m in args.masks.split(",") if m.strip()]
         if args.eps_list is not None:
             eps_list = _parse_option("--eps-list", _parse_floats, args.eps_list)
-            for eps in eps_list:
-                _parse_option("--eps-list", _positive("every entry"), eps)
         fusions = args.fusions.split(",") if args.fusions else None
         arches = args.arches.split(",") if args.arches else None
         plan = pipeline.build_sweep_plan(args.axis, config, masks=masks,

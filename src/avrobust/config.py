@@ -1,10 +1,12 @@
 """Experiment configuration: a strict `[section]` / `key = value` format.
 
-Unknown keys, missing sections, and out-of-range values are rejected
-with the offending line number.  Parsing returns the typed config plus
-the list of defaults that were applied, so runs can log exactly what
-they resolved.  ``serialize_config`` emits every key explicitly, making
-parse -> serialize -> parse a fixed point.
+Each key is declared once, as a section dataclass field that carries its
+check, and every section checks its keys when it is built: a bad value
+from a file, a CLI flag or a sweep cell is a ``ConfigurationError``
+naming ``section.key``, with the line number for a file.  Parsing
+returns the typed config plus the list of defaults that were applied.
+``serialize_config`` emits every key explicitly, making parse ->
+serialize -> parse a fixed point.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, replace
 
-from .errors import ConfigFileError
+from .errors import ConfigFileError, ConfigurationError
 
 __all__ = [
     "DatasetSection", "ModelSection", "TrainSection", "AttackSection",
@@ -68,165 +70,130 @@ def _fmt_range(value):
     return "none" if value is None else f"{value[0]}:{value[1]}"
 
 
-# key -> (parser, formatter, validator or None)
-def _positive(name):
-    def check(v):
-        if not (math.isfinite(v) and v > 0):
-            raise ValueError(f"{name} must be positive and finite, got {v}")
-    return check
+_PARSERS = {bool: _parse_bool, int: int, float: float, str: str, tuple: _parse_ints}
 
 
-def _non_negative(name):
-    def check(v):
-        if not (math.isfinite(v) and v >= 0):
-            raise ValueError(f"{name} must be finite and >= 0, got {v}")
-    return check
+def _positive(v):
+    if not (math.isfinite(v) and v > 0):
+        raise ValueError(f"must be positive and finite, got {v}")
 
 
-def _choice(name, options):
+def _non_negative(v):
+    if not (math.isfinite(v) and v >= 0):
+        raise ValueError(f"must be finite and >= 0, got {v}")
+
+
+def _fraction(v):
+    if not 0 <= v < 1:
+        raise ValueError(f"must be in [0, 1), got {v}")
+
+
+def _all_positive(values):
+    if not all(v >= 1 for v in values):
+        raise ValueError(f"every entry must be >= 1, got {_fmt(values)}")
+
+
+def _none_or_non_negative(v):
+    if v is not None:
+        _non_negative(v)
+
+
+def _choice(*options):
     def check(v):
         if v not in options:
-            raise ValueError(f"{name} must be one of {options}, got {v!r}")
+            raise ValueError(f"must be one of {options}, got {v!r}")
     return check
 
 
-_SCHEMA = {
-    "dataset": {
-        "classes": (int, _fmt, _positive("classes")),
-        "train_clips": (int, _fmt, _positive("train_clips")),
-        "eval_clips": (int, _fmt, _positive("eval_clips")),
-        "duration": (float, _fmt, _positive("duration")),
-        "sample_rate": (int, _fmt, _positive("sample_rate")),
-        "max_labels": (int, _fmt, _positive("max_labels")),
-        "band_lo": (int, _fmt, _non_negative("band_lo")),
-        "band_width": (int, _fmt, _positive("band_width")),
-        "band_stride": (int, _fmt, _positive("band_stride")),
-        "timbres": (str, _fmt, None),
-        "amp_lo": (float, _fmt, _positive("amp_lo")),
-        "amp_hi": (float, _fmt, _positive("amp_hi")),
-        "amp_shape": (float, _fmt, _positive("amp_shape")),
-        "dur_lo": (float, _fmt, _positive("dur_lo")),
-        "dur_hi": (float, _fmt, _positive("dur_hi")),
-        "events_max": (int, _fmt, _positive("events_max")),
-        "noise_floor": (float, _fmt, _non_negative("noise_floor")),
-        "hum_amp": (float, _fmt, _non_negative("hum_amp")),
-        "video_dim": (int, _fmt, _positive("video_dim")),
-        "video_windows": (int, _fmt, _positive("video_windows")),
-        "video_noise": (float, _fmt, _non_negative("video_noise")),
-        "seed": (int, _fmt, None),
-    },
-    "model": {
-        "arch": (str, _fmt, _choice("arch", ("csn", "resnet"))),
-        "fusion": (str, _fmt, _choice(
-            "fusion", ("audio_only", "early", "mid1", "mid2", "late"))),
-        "conv_channels": (_parse_ints, _fmt, None),
-        "pool_time": (_parse_ints, _fmt, None),
-        "pool_freq": (_parse_ints, _fmt, None),
-        "transformer_blocks": (int, _fmt, _positive("transformer_blocks")),
-        "heads": (int, _fmt, _positive("heads")),
-        "width": (int, _fmt, _positive("width")),
-        "ff_mult": (int, _fmt, _positive("ff_mult")),
-        "early_video_bins": (int, _fmt, _positive("early_video_bins")),
-        "stem_channels": (int, _fmt, _positive("stem_channels")),
-        "resnet_blocks": (int, _fmt, _positive("resnet_blocks")),
-        "resnet_pool_time": (_parse_ints, _fmt, None),
-        "resnet_pool_freq": (_parse_ints, _fmt, None),
-    },
-    "train": {
-        "epochs": (int, _fmt, _positive("epochs")),
-        "batch": (int, _fmt, _positive("batch")),
-        "lr": (float, _fmt, _positive("lr")),
-        "dropout": (float, _fmt, _non_negative("dropout")),
-        "seed": (int, _fmt, None),
-    },
-    "attack": {
-        "norm": (str, _fmt, _choice("norm", ("l1", "l2", "linf"))),
-        "eps": (float, _fmt, _positive("eps")),
-        "alpha": (float, _fmt, _positive("alpha")),
-        "steps": (_parse_optint, _fmt, None),
-        "freq_mask": (_parse_range, _fmt_range, None),
-        "time_mask": (_parse_range, _fmt_range, None),
-        "direction": (str, _fmt, _choice("direction", ("ascent", "descent"))),
-        "random_start": (_parse_bool, _fmt, None),
-        "batch": (int, _fmt, _positive("batch")),
-        "seed": (int, _fmt, None),
-    },
-    "paths": {
-        "workdir": (str, _fmt, None),
-    },
-}
+def _key(default, check=lambda v: None, parse=None, fmt=_fmt):
+    """One key: default, check (raises ``ValueError``), parser (by default the
+    one for the default's type) and formatter."""
+    return field(default=default, metadata={
+        "check": check, "parse": parse or _PARSERS[type(default)], "fmt": fmt})
+
+
+class _Section:
+    """Checks every key of ``[xxx]`` when an ``XxxSection`` is built or replaced."""
+
+    def __post_init__(self):
+        section = type(self).__name__.removesuffix("Section").lower()
+        for f in fields(self):
+            try:
+                f.metadata["check"](getattr(self, f.name))
+            except (ValueError, TypeError) as exc:
+                raise ConfigurationError(f"bad value for {section}.{f.name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
-class DatasetSection:
-    classes: int = 10
-    train_clips: int = 1600
-    eval_clips: int = 400
-    duration: float = 10.0
-    sample_rate: int = 16000
-    max_labels: int = 3
-    band_lo: int = 2
-    band_width: int = 6
-    band_stride: int = 6
-    timbres: str = "tone,harmonic,chirp,noise"
-    amp_lo: float = 0.0004
-    amp_hi: float = 0.003
-    amp_shape: float = 1.5
-    dur_lo: float = 0.15
-    dur_hi: float = 1.2
-    events_max: int = 1
-    noise_floor: float = 0.0
-    hum_amp: float = 1.0
-    video_dim: int = 32
-    video_windows: int = 10
-    video_noise: float = 0.1
-    seed: int = 0
+class DatasetSection(_Section):
+    classes: int = _key(10, _positive)
+    train_clips: int = _key(1600, _positive)
+    eval_clips: int = _key(400, _positive)
+    duration: float = _key(10.0, _positive)
+    sample_rate: int = _key(16000, _positive)
+    max_labels: int = _key(3, _positive)
+    band_lo: int = _key(2, _non_negative)
+    band_width: int = _key(6, _positive)
+    band_stride: int = _key(6, _positive)
+    timbres: str = _key("tone,harmonic,chirp,noise")
+    amp_lo: float = _key(0.0004, _positive)
+    amp_hi: float = _key(0.003, _positive)
+    amp_shape: float = _key(1.5, _positive)
+    dur_lo: float = _key(0.15, _positive)
+    dur_hi: float = _key(1.2, _positive)
+    events_max: int = _key(1, _positive)
+    noise_floor: float = _key(0.0, _non_negative)
+    hum_amp: float = _key(1.0, _non_negative)
+    video_dim: int = _key(32, _positive)
+    video_windows: int = _key(10, _positive)
+    video_noise: float = _key(0.1, _non_negative)
+    seed: int = _key(0, _non_negative)
 
 
 @dataclass(frozen=True)
-class ModelSection:
-    arch: str = "csn"
-    fusion: str = "audio_only"
-    conv_channels: tuple = (6, 12, 16, 16)
-    pool_time: tuple = (4, 1, 1, 1)
-    pool_freq: tuple = (2, 2, 2, 2)
-    transformer_blocks: int = 2
-    heads: int = 4
-    width: int = 64
-    ff_mult: int = 2
-    early_video_bins: int = 16
-    stem_channels: int = 12
-    resnet_blocks: int = 2
-    resnet_pool_time: tuple = (4, 1, 1)
-    resnet_pool_freq: tuple = (2, 2, 2)
+class ModelSection(_Section):
+    arch: str = _key("csn", _choice("csn", "resnet"))
+    fusion: str = _key("audio_only", _choice("audio_only", "early", "mid1", "mid2", "late"))
+    conv_channels: tuple = _key((6, 12, 16, 16), _all_positive)
+    pool_time: tuple = _key((4, 1, 1, 1), _all_positive)
+    pool_freq: tuple = _key((2, 2, 2, 2), _all_positive)
+    transformer_blocks: int = _key(2, _positive)
+    heads: int = _key(4, _positive)
+    width: int = _key(64, _positive)
+    ff_mult: int = _key(2, _positive)
+    early_video_bins: int = _key(16, _positive)
+    stem_channels: int = _key(12, _positive)
+    resnet_blocks: int = _key(2, _positive)
+    resnet_pool_time: tuple = _key((4, 1, 1), _all_positive)
+    resnet_pool_freq: tuple = _key((2, 2, 2), _all_positive)
 
 
 @dataclass(frozen=True)
-class TrainSection:
-    epochs: int = 12
-    batch: int = 32
-    lr: float = 1e-3
-    dropout: float = 0.25
-    seed: int = 0
+class TrainSection(_Section):
+    epochs: int = _key(12, _positive)
+    batch: int = _key(32, _positive)
+    lr: float = _key(1e-3, _positive)
+    dropout: float = _key(0.25, _fraction)
+    seed: int = _key(0, _non_negative)
 
 
 @dataclass(frozen=True)
-class AttackSection:
-    norm: str = "l2"
-    eps: float = 0.3
-    alpha: float = 0.01
-    steps: int | None = None
-    freq_mask: tuple | None = None
-    time_mask: tuple | None = None
-    direction: str = "ascent"
-    random_start: bool = False
-    batch: int = 32
-    seed: int = 0
+class AttackSection(_Section):
+    norm: str = _key("l2", _choice("l1", "l2", "linf"))
+    eps: float = _key(0.3, _positive)
+    alpha: float = _key(0.01, _positive)
+    steps: int | None = _key(None, _none_or_non_negative, parse=_parse_optint)
+    freq_mask: tuple | None = _key(None, parse=_parse_range, fmt=_fmt_range)
+    time_mask: tuple | None = _key(None, parse=_parse_range, fmt=_fmt_range)
+    direction: str = _key("ascent", _choice("ascent", "descent"))
+    random_start: bool = _key(False)
+    batch: int = _key(32, _positive)
+    seed: int = _key(0, _non_negative)
 
 
 @dataclass(frozen=True)
-class PathsSection:
-    workdir: str = ""
+class PathsSection(_Section):
+    workdir: str = _key("")
 
 
 @dataclass(frozen=True)
@@ -238,7 +205,7 @@ class ExperimentConfig:
     paths: PathsSection = field(default_factory=PathsSection)
 
     def with_overrides(self, **section_overrides):
-        """Functional update, e.g. cfg.with_overrides(attack={'eps': 0.1})."""
+        """Checked functional update, e.g. cfg.with_overrides(attack={'eps': 0.1})."""
         updates = {}
         for section, over in section_overrides.items():
             if over:
@@ -246,8 +213,7 @@ class ExperimentConfig:
         return replace(self, **updates)
 
 
-_SECTIONS = {"dataset": DatasetSection, "model": ModelSection,
-             "train": TrainSection, "attack": AttackSection, "paths": PathsSection}
+_SECTIONS = {f.name: f.default_factory for f in fields(ExperimentConfig)}
 
 
 def parse_config(text):
@@ -269,63 +235,50 @@ def parse_config(text):
         if not sep:
             raise ConfigFileError(f"expected key = value, got {line!r}", line=lineno)
         key = key.strip()
-        raw_value = raw_value.strip()
-        schema = _SCHEMA[section]
-        if key not in schema:
+        f = next((f for f in fields(_SECTIONS[section]) if f.name == key), None)
+        if f is None:
             raise ConfigFileError(f"unknown key {key!r} in section [{section}]",
                                   line=lineno)
-        parser, _, validator = schema[key]
         try:
-            value = parser(raw_value)
-            if validator is not None:
-                validator(value)
+            value = f.metadata["parse"](raw_value.strip())
+            f.metadata["check"](value)
         except (ValueError, TypeError) as exc:
             raise ConfigFileError(f"bad value for {section}.{key}: {exc}",
                                   line=lineno) from exc
         values[section][key] = value
 
-    applied_defaults = []
-    sections = {}
-    for name, cls in _SECTIONS.items():
-        provided = values[name]
-        for f in fields(cls):
-            if f.name not in provided:
-                default = getattr(cls(), f.name)
-                applied_defaults.append(f"{name}.{f.name} = {_default_fmt(name, f.name, default)}")
-        sections[name] = cls(**provided)
-    return ExperimentConfig(**sections), applied_defaults
-
-
-def _default_fmt(section, key, value):
-    formatter = _SCHEMA[section][key][1]
-    return formatter(value)
+    applied_defaults = [f"{name}.{f.name} = {f.metadata['fmt'](f.default)}"
+                        for name, cls in _SECTIONS.items() for f in fields(cls)
+                        if f.name not in values[name]]
+    return (ExperimentConfig(**{name: cls(**values[name]) for name, cls in _SECTIONS.items()}),
+            applied_defaults)
 
 
 def serialize_config(config):
-    """Emit every key explicitly, in schema order."""
+    """Emit every key explicitly, in declaration order."""
     lines = []
     for name in _SECTIONS:
         lines.append(f"[{name}]")
         section = getattr(config, name)
-        for key, (_, formatter, _) in _SCHEMA[name].items():
-            lines.append(f"{key} = {formatter(getattr(section, key))}")
+        lines += [f"{f.name} = {f.metadata['fmt'](getattr(section, f.name))}"
+                  for f in fields(section)]
         lines.append("")
     return "\n".join(lines)
 
 
 @dataclass
 class SweepPlan:
-    """One sweep axis: an ordered list of (label, config-overrides) cells.
+    """One sweep axis: an ordered list of (label, config, attacked) cells.
 
-    ``axis`` picks the CSV layout; overrides touch only the attack
-    section except for the fusion/arch axes, which also vary the model.
+    ``axis`` picks the CSV layout; only the fusion/arch axes have cells
+    that are not attacked (their clean rows).
     """
     axis: str
-    cells: list = field(default_factory=list)   # (label: dict, overrides: dict)
+    cells: list = field(default_factory=list)   # (label: dict, ExperimentConfig, bool)
 
     def __post_init__(self):
         if self.axis not in ("freq", "time", "eps", "fusion", "arch"):
             raise ConfigFileError(f"unknown sweep axis {self.axis!r}")
-        labels = [tuple(sorted(label.items())) for label, _ in self.cells]
+        labels = [tuple(sorted(cell[0].items())) for cell in self.cells]
         if len(labels) != len(set(labels)):
             raise ConfigFileError("sweep cell labels must be unique")

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import check_array, check_binary_targets
-from .errors import ConfigurationError, ValidationError
+from .container import json_field
+from .errors import ConfigurationError, FormatError, ValidationError
 
 __all__ = [
     "average_precision", "roc_auc", "normal_quantile", "d_prime",
@@ -146,16 +147,26 @@ class EvalReport:
                           sort_keys=True, indent=1)
 
     @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        agg = obj["aggregate"]
-        saturated = bool(agg.get("dprime_saturated", False))
+    def from_json(cls, text, source="report"):
+        """Inverse of ``to_json``; a malformed report is a ``FormatError`` naming ``source``."""
+        try:
+            obj = json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise FormatError(f"{source}: invalid JSON ({exc})") from exc
+        number, optional = (int, float), (int, float, type(None))
+        agg = json_field(obj, "aggregate", source, dict)
+        agg_source, class_source = f"{source}, key 'aggregate'", f"{source}, key 'classes'"
+        saturated = json_field(agg, "dprime_saturated", agg_source, bool, default=False)
+        per_class = [ClassMetrics(json_field(c, "id", class_source, int),
+                                  json_field(c, "name", class_source, str),
+                                  json_field(c, "ap", class_source, optional),
+                                  json_field(c, "auc", class_source, optional))
+                     for c in json_field(obj, "classes", source, list)]
         return cls(
-            meta=obj["meta"],
-            per_class=[ClassMetrics(c["id"], c["name"], c["ap"], c["auc"])
-                       for c in obj["classes"]],
-            map=agg["map"], auc=agg["auc"],
-            dprime=None if saturated else agg["dprime"],
+            meta=json_field(obj, "meta", source, dict), per_class=per_class,
+            map=json_field(agg, "map", agg_source, number),
+            auc=json_field(agg, "auc", agg_source, number),
+            dprime=None if saturated else json_field(agg, "dprime", agg_source, number),
             dprime_saturated=saturated)
 
 

@@ -636,13 +636,32 @@ def load_checkpoint(path, seed=0):
                 f"tensor {name!r}: shape {arrays[name].shape} does not match the "
                 f"model's expected {p.data.shape}")
         p.data = arrays[name]
-    norm = index.get("input_norm")
-    if norm:
-        model.set_input_norm(norm["mean"], norm["std"], floor=0.0)
+    norm = json_field(index, "input_norm", source, dict, default=None)
+    if norm is not None:
+        # one entry per mel bin: _standardize runs before early fusion adds video bins
+        model.set_input_norm(*(_bin_vector(norm, key, f"{source}, key 'input_norm'",
+                                           config.n_mels) for key in ("mean", "std")),
+                             floor=0.0)
     optimizer = None
-    if index.get("optimizer"):
-        meta = index["optimizer"]
-        optimizer = Adam(model.params, lr=meta["lr"], beta1=meta["beta1"],
-                         beta2=meta["beta2"], eps=meta["eps"])
-        optimizer.load_state_arrays(arrays, t=meta["t"])
+    meta = json_field(index, "optimizer", source, dict, default=None)
+    if meta is not None:
+        meta_source = f"{source}, key 'optimizer'"
+        optimizer = Adam(model.params, **{
+            key: json_field(meta, key, meta_source, (int, float))
+            for key in ("lr", "beta1", "beta2", "eps")})
+        for name in optimizer.state_arrays():
+            if name not in arrays:
+                raise FormatError(f"tensor {name!r} missing from checkpoint")
+        optimizer.load_state_arrays(arrays, t=json_field(meta, "t", meta_source, int))
     return model, index, optimizer
+
+
+def _bin_vector(obj, key, source, bins):
+    """``obj[key]`` as a float64 vector of ``bins`` entries, else a ``FormatError``."""
+    try:
+        vector = np.asarray(json_field(obj, key, source, list), dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise FormatError(f"{source}: key {key!r} is not a list of numbers") from exc
+    if vector.shape != (bins,):
+        raise FormatError(f"{source}: key {key!r} holds {len(vector)} entries, not {bins}")
+    return vector

@@ -339,8 +339,8 @@ def run_eval(config, workdir, checkpoint, perturbation=None, out=None):
 
 
 def run_report(clean_path, attacked_path, out):
-    clean = mx.EvalReport.from_json(Path(clean_path).read_text())
-    attacked = mx.EvalReport.from_json(Path(attacked_path).read_text())
+    clean, attacked = (mx.EvalReport.from_json(Path(path).read_bytes(), source=str(path))
+                       for path in (clean_path, attacked_path))
     table = mx.compare_reports(clean, attacked)
     atomic_write_bytes(out, table.to_csv().encode())
     return Path(out)
@@ -356,34 +356,33 @@ def _mask_label(rng):
 
 def build_sweep_plan(axis, config, masks=None, eps_list=None, fusions=None,
                      arches=None):
-    """Expand one sweep axis into labeled config-override cells.
+    """Expand one sweep axis into labeled ``(label, config, attacked)`` cells.
 
-    freq/time axes cross the mask values with the eps list and include
-    one clean row; the fusion/arch axes produce a clean and an attacked
-    row per variant.
+    freq/time axes cross the mask values with the eps list (``run_sweep``
+    adds one clean row); the fusion/arch axes produce a clean and an
+    attacked cell per variant.  Every cell's config, and every eps on any
+    axis, is checked here, so a bad value is a ``ConfigurationError``
+    before any work.
     """
-    eps_values = list(eps_list) if eps_list else [config.attack.eps]
+    eps_configs = [config.with_overrides(attack={"eps": eps})
+                   for eps in (eps_list or [config.attack.eps])]
     cells = []
     if axis in ("freq", "time"):
         key = "freq_mask" if axis == "freq" else "time_mask"
         for mask in (masks if masks is not None else [None]):
-            for eps in eps_values:
-                label = {"mask": _mask_label(mask), "eps": eps}
-                cells.append((label, {"attack": {key: mask, "eps": eps}}))
+            for eps_config in eps_configs:
+                cells.append(({"mask": _mask_label(mask), "eps": eps_config.attack.eps},
+                              eps_config.with_overrides(attack={key: mask}), True))
     elif axis == "eps":
-        for eps in eps_values:
-            cells.append(({"eps": eps}, {"attack": {"eps": eps}}))
-    elif axis == "fusion":
-        for fusion in (fusions or ["early", "mid1", "mid2", "late"]):
-            for attacked in (False, True):
-                cells.append(({"fusion": fusion, "attack": "yes" if attacked else "no"},
-                              {"model": {"fusion": fusion},
-                               "_attacked": attacked}))
-    elif axis == "arch":
-        for arch in (arches or ["csn", "resnet"]):
-            for attacked in (False, True):
-                cells.append(({"model": arch, "attack": "yes" if attacked else "no"},
-                              {"model": {"arch": arch}, "_attacked": attacked}))
+        cells += [({"eps": c.attack.eps}, c, True) for c in eps_configs]
+    elif axis in ("fusion", "arch"):
+        key, column, variants = (
+            ("fusion", "fusion", fusions or ["early", "mid1", "mid2", "late"])
+            if axis == "fusion" else ("arch", "model", arches or ["csn", "resnet"]))
+        for variant in variants:
+            cell_config = config.with_overrides(model={key: variant})
+            cells += [({column: variant, "attack": "yes" if attacked else "no"},
+                       cell_config, attacked) for attacked in (False, True)]
     return SweepPlan(axis=axis, cells=cells)
 
 
@@ -474,11 +473,8 @@ def run_sweep(config, workdir, plan, out=None):
     # (label, attack config, clean report, error repr) per cell, in plan order;
     # an attacked cell has neither report nor error until its job has run
     cells, jobs = [], []
-    for label, overrides in plan.cells:
-        overrides = dict(overrides)
-        attacked = overrides.pop("_attacked", True)
+    for label, cell_config, attacked in plan.cells:
         try:
-            cell_config = config.with_overrides(**overrides)
             ckpt = checkpoint_for(cell_config)
             report = None if attacked else clean_report(cell_config, ckpt)
         except AvrobustError as exc:

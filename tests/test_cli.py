@@ -180,19 +180,32 @@ class TestExitCodes:
         assert "config error:" in capsys.readouterr().err
         assert sorted(p.name for p in workdir.iterdir()) == before   # no checkpoint
 
-    @pytest.mark.parametrize("argv, ini_eps", [
-        (["attack", "--eps", "nan"], "0.5"),
-        (["sweep", "--axis", "freq", "--eps-list", "nan"], "0.5"),
-        (["attack"], "nan"),
-        (["attack", "--alpha", "nan"], "0.5"),
-    ], ids=["eps", "eps-list", "ini-eps", "alpha"])
-    def test_nan_eps_or_alpha_is_config_error(self, micro_copy, tmp_path, capsys, argv, ini_eps):
+    @pytest.mark.parametrize("argv, ini_edit, key", [
+        (["attack", "--eps", "nan"], None, "attack.eps"),
+        (["sweep", "--axis", "freq", "--eps-list", "nan"], None, "attack.eps"),
+        (["attack"], ("eps = 0.5", "eps = nan"), "attack.eps"),
+        (["attack", "--alpha", "nan"], None, "attack.alpha"),
+        (["sweep", "--axis", "freq", "--alpha", "0"], None, "attack.alpha"),
+        (["sweep", "--axis", "freq", "--steps", "-1"], None, "attack.steps"),
+        (["attack", "--seed", "-1"], None, "attack.seed"),
+        (["sweep", "--axis", "fusion", "--fusions", "foo"], None, "model.fusion"),
+        (["sweep", "--axis", "arch", "--arches", "foo"], None, "model.arch"),
+        (["sweep", "--axis", "fusion", "--eps-list", "-1"], None, "attack.eps"),
+        (["train"], ("conv_channels = 2,3", "conv_channels = 0,3"), "model.conv_channels"),
+        (["attack"], ("batch = 8\nseed = 0", "batch = 8\nseed = -1"), "attack.seed"),
+    ], ids=["eps", "eps-list", "ini-eps", "alpha", "sweep-alpha-zero",
+            "sweep-steps-negative", "seed-negative", "fusions", "arches", "fusion-eps-list",
+            "ini-conv-channels", "ini-attack-seed"])
+    def test_nan_eps_or_alpha_is_config_error(self, micro_copy, tmp_path, capsys, argv,
+                                              ini_edit, key):
+        """A bad key exits 2 naming it, from a file, a flag or a sweep cell, before any work."""
         _, workdir = micro_copy
         cfg = tmp_path / "eps.ini"
-        cfg.write_text(MICRO.replace("eps = 0.5", f"eps = {ini_eps}"))
+        cfg.write_text(MICRO.replace(*ini_edit) if ini_edit else MICRO)
         before = sorted(p.relative_to(workdir) for p in workdir.rglob("*"))
         assert main(argv + ["--config", str(cfg), "--workdir", str(workdir)]) == 2
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error:" in err and key in err
         assert sorted(p.relative_to(workdir) for p in workdir.rglob("*")) == before
 
     def test_train_without_manifest_is_validation_error(self, tmp_path):
@@ -352,6 +365,13 @@ INDEX_EDITS = {   # case -> (edit, the index key the error names)
     "config-unknown-key": (lambda ix: ix["config"].update(bogus=1), "config"),
     "config-no-fusion": (lambda ix: ix["config"].pop("fusion"), "config"),
     "config-bad-fusion": (lambda ix: ix["config"].update(fusion="sideways"), "config"),
+    "input_norm-list": (lambda ix: ix.update(input_norm=[0.0]), "input_norm"),
+    "input_norm-no-std": (lambda ix: ix["input_norm"].pop("std"), "std"),
+    "input_norm-short-mean": (lambda ix: ix["input_norm"].update(mean=[0.0]), "mean"),
+    "optimizer-list": (lambda ix: ix.update(optimizer=[0.001]), "optimizer"),
+    "optimizer-no-lr": (lambda ix: ix["optimizer"].pop("lr"), "lr"),
+    "adam-tensor-missing": (lambda ix: ix["tensors"].pop("adam.m.audio.conv0.w"),
+                            "adam.m.audio.conv0.w"),
 }
 
 
@@ -411,6 +431,35 @@ class TestSidecarValueTypes:
         assert "Traceback" not in err
 
 
+REPORT_EDITS = {   # case -> (edit of the parsed report, or None for invalid JSON; key named)
+    "not-json": (None, "invalid JSON"),
+    "no-aggregate": (lambda r: r.pop("aggregate"), "'aggregate'"),
+    "no-classes": (lambda r: r.pop("classes"), "'classes'"),
+    "no-meta": (lambda r: r.pop("meta"), "'meta'"),
+    "aggregate-list": (lambda r: r.update(aggregate=[0.5]), "'aggregate'"),
+    "class-no-ap": (lambda r: r["classes"][0].pop("ap"), "'ap'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPORT_EDITS))
+def test_malformed_report_is_io_error(tmp_path, capsys, case):
+    edit, named = REPORT_EDITS[case]
+    targets = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    good = compute_report(np.array([[0.9, 0.2], [0.1, 0.8], [0.6, 0.3]]), targets)
+    (tmp_path / "clean.json").write_text(good.to_json())
+    text = good.to_json()[:-1]
+    if edit is not None:
+        report = json.loads(good.to_json())
+        edit(report)
+        text = json.dumps(report)
+    (tmp_path / "attacked.json").write_text(text)
+    assert main(["report", "--clean", str(tmp_path / "clean.json"), "--attacked",
+                 str(tmp_path / "attacked.json"), "--out", str(tmp_path / "cmp.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and "attacked.json" in err and named in err
+    assert "Traceback" not in err and not (tmp_path / "cmp.csv").exists()
+
+
 HEAP_ROUNDS = """
 import resource
 import numpy as np
@@ -453,7 +502,7 @@ class TestSweepPool:
         config, workdir = micro_copy
         plan = pipeline.build_sweep_plan("freq", config, masks=[None, (0, 20)],
                                          eps_list=[0.2, 0.5])
-        assert sum(1 for _, over in plan.cells if over.get("_attacked", True)) == 4
+        assert sum(attacked for _, _, attacked in plan.cells) == 4
         runs = {}
         for cpus in (1, 2):
             wd = tmp_path / f"cpus{cpus}"

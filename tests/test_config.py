@@ -6,7 +6,7 @@ from avrobust.config import (
     parse_config,
     serialize_config,
 )
-from avrobust.errors import ConfigFileError
+from avrobust.errors import ConfigFileError, ConfigurationError
 
 
 MINIMAL = """
@@ -105,6 +105,11 @@ def test_with_overrides_functional_update():
     assert updated.attack.eps == 0.1
     assert updated.model.fusion == "late"
     assert config.attack.eps == 0.3     # original untouched
+
+
+def test_with_overrides_runs_the_file_checks():
+    with pytest.raises(ConfigurationError, match=r"attack\.alpha"):
+        ExperimentConfig().with_overrides(attack={"alpha": 0})
 
 
 def test_sweep_plan_rejects_duplicate_labels():

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import check_binary_targets
+from .base import check_binary_targets, minibatches
 from .container import atomic_write_bytes, json_field, read_feature_file, tensor_bytes
 from .errors import ConfigurationError, DimensionError, FormatError, ValidationError
 
@@ -255,15 +255,8 @@ def train_universal_perturbation(model, audio, labels, cfg, video=None,
             delta = delta * cfg.mask.array(shape)
     else:
         delta = np.zeros(shape)
-    n = audio.shape[0]
-    steps = cfg.resolved_steps() if cfg.steps is None else int(cfg.steps)
-    order = []
-    for step in range(steps):
-        if not order:
-            order = list(rng.permutation(n))
-        take = min(cfg.batch_size, len(order))
-        idx = np.array(order[:take])
-        order = order[take:]
+    steps = cfg.resolved_steps()
+    for step, idx in enumerate(minibatches(rng, audio.shape[0], cfg.batch_size, steps)):
         batch_video = None if video is None else np.asarray(video[idx], dtype=np.float64)
         _, grad = model.loss_and_input_grad(
             np.asarray(audio[idx], dtype=np.float64), labels[idx],

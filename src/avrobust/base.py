@@ -1,8 +1,10 @@
-"""Input validation helpers shared by the audio, model, attack and metric code.
+"""Helpers shared by the audio, model, attack and metric code.
 
 ``check_array`` coerces to a finite float array of a given rank;
 ``check_binary_targets`` accepts only {0,1} multi-hot targets.  Both
 raise ``ValidationError`` (``DimensionError`` for a wrong rank).
+``minibatches`` is the one seeded batch order that training and the
+attack draw from.
 """
 
 from __future__ import annotations
@@ -30,3 +32,18 @@ def check_binary_targets(y, name="targets"):
     if not np.all((arr == 0.0) | (arr == 1.0)):
         raise ValidationError(f"{name} must contain only 0 and 1")
     return arr
+
+
+def minibatches(rng, n, batch_size, steps):
+    """Yield ``steps`` index batches over ``range(n)``.
+
+    Each pass over the data is one ``rng.permutation(n)`` cut into
+    batches of ``batch_size``; a pass's last batch may be shorter, and
+    the next batch starts a fresh permutation.
+    """
+    order = np.empty(0, dtype=np.intp)
+    for _ in range(steps):
+        if order.size == 0:
+            order = rng.permutation(n)
+        yield order[:batch_size]
+        order = order[batch_size:]

@@ -98,20 +98,18 @@ def _workdir(config, args):
     return Path(wd)
 
 
-def _add_common(sub, *, mask_opts=True):
+def _add_common(sub):
     sub.add_argument("--config", help="experiment config file")
     sub.add_argument("--workdir", help="override the working directory")
     sub.add_argument("--seed", type=int, help="override dataset/train/attack seeds")
     sub.add_argument("--out", help="output path override")
-    if mask_opts:
-        sub.add_argument("--fusion",
-                         choices=["audio_only", "early", "mid1", "mid2", "late"])
-        sub.add_argument("--norm", choices=["l1", "l2", "linf"])
-        sub.add_argument("--eps", type=float)
-        sub.add_argument("--alpha", type=float)
-        sub.add_argument("--steps", type=int)
-        sub.add_argument("--freq-mask", dest="freq_mask", metavar="LO:HI")
-        sub.add_argument("--time-mask", dest="time_mask", metavar="LO:HI")
+    sub.add_argument("--fusion", choices=["audio_only", "early", "mid1", "mid2", "late"])
+    sub.add_argument("--norm", choices=["l1", "l2", "linf"])
+    sub.add_argument("--eps", type=float)
+    sub.add_argument("--alpha", type=float)
+    sub.add_argument("--steps", type=int)
+    sub.add_argument("--freq-mask", dest="freq_mask", metavar="LO:HI")
+    sub.add_argument("--time-mask", dest="time_mask", metavar="LO:HI")
 
 
 def build_parser():

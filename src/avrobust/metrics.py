@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .attacks import apply_perturbation
 from .base import check_array, check_binary_targets
 from .container import json_field
 from .errors import ConfigurationError, FormatError, ValidationError
@@ -221,13 +222,7 @@ def evaluate(model, audio, labels, video=None, perturbation=None,
     if labels.shape[0] != audio.shape[0]:
         raise ValidationError("labels row count does not match clip count")
     if perturbation is not None:
-        delta = getattr(perturbation, "delta", perturbation)
-        delta = np.asarray(delta, dtype=np.float64)
-        if delta.shape != audio.shape[1:]:
-            raise ValidationError(
-                f"perturbation shape {delta.shape} does not match feature "
-                f"geometry {audio.shape[1:]}")
-        audio = audio + delta
+        audio = apply_perturbation(audio, perturbation)
     scores = np.empty((audio.shape[0], labels.shape[1]))
     for start in range(0, audio.shape[0], batch_size):
         stop = min(start + batch_size, audio.shape[0])

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from enum import Enum
 from pathlib import Path
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import check_binary_targets
+from .base import check_binary_targets, minibatches
 from .container import atomic_write_bytes, json_field, tensor_bytes, tensor_from_bytes
 from .errors import (
     ConfigurationError,
@@ -84,6 +84,7 @@ class CsnConfig:
     early_video_bins: int = 16
 
     def __post_init__(self):
+        object.__setattr__(self, "fusion", FusionStage(self.fusion))
         if len(self.conv_channels) != len(self.pool_time) or \
                 len(self.conv_channels) != len(self.pool_freq):
             raise ConfigurationError(
@@ -109,21 +110,6 @@ class CsnConfig:
 
     def encoder_out_bins(self):
         return self.input_bins() // int(np.prod(self.pool_freq))
-
-    def to_dict(self):
-        d = asdict(self)
-        d["fusion"] = self.fusion.value
-        for key in ("conv_channels", "pool_time", "pool_freq"):
-            d[key] = list(d[key])
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["fusion"] = FusionStage(d["fusion"])
-        for key in ("conv_channels", "pool_time", "pool_freq"):
-            d[key] = tuple(d[key])
-        return cls(**d)
 
 
 class _ModelBase:
@@ -391,19 +377,6 @@ class ResnetConfig:
             raise ConfigurationError(
                 f"pool_time factors must multiply to 4, got {self.pool_time}")
 
-    def to_dict(self):
-        d = asdict(self)
-        d["pool_time"] = list(d["pool_time"])
-        d["pool_freq"] = list(d["pool_freq"])
-        return d
-
-    @classmethod
-    def from_dict(cls, d):
-        d = dict(d)
-        d["pool_time"] = tuple(d["pool_time"])
-        d["pool_freq"] = tuple(d["pool_freq"])
-        return cls(**d)
-
 
 class ResnetModel(_ModelBase):
     """Residual conv blocks (identity skip + two 3x3 convs), mean-pooled."""
@@ -515,13 +488,7 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
     model.fit_input_norm(audio)
     result = TrainResult(optimizer=opt)
     rng = np.random.default_rng(_derive_seed(seed, 0xD5))
-    order = []
-    for step in range(steps):
-        if not order:
-            order = list(rng.permutation(n))
-        take = min(batch_size, len(order))
-        idx = np.array(order[:take])
-        order = order[take:]
+    for step, idx in enumerate(minibatches(rng, n, batch_size, steps)):
         batch_audio = audio[idx].astype(np.float64)
         batch_video = None if video is None else video[idx].astype(np.float64)
         loss, grads = model.loss_and_param_grads(
@@ -574,7 +541,7 @@ def save_checkpoint(path, model, optimizer=None, step=0, rng_state=None):
     norm = None
     if model.input_mean is not None:
         norm = {"mean": model.input_mean.tolist(), "std": model.input_std.tolist()}
-    index = {"kind": kind, "config": model.config.to_dict(), "tensors": table,
+    index = {"kind": kind, "config": asdict(model.config), "tensors": table,
              "step": int(step), "rng_state": rng_state, "optimizer": opt_meta,
              "input_norm": norm}
     payload = json.dumps(index, sort_keys=True).encode("utf-8")
@@ -582,13 +549,15 @@ def save_checkpoint(path, model, optimizer=None, step=0, rng_state=None):
     atomic_write_bytes(path, data)
 
 
-def load_checkpoint(path, seed=0):
+def load_checkpoint(path):
     """Rebuild a model from a checkpoint; returns (model, index, optimizer).
 
     ``index`` is the JSON index dict; ``optimizer`` is the restored Adam,
-    or None when the checkpoint was saved without one.  Every tensor is validated against the shape the rebuilt model
-    expects; a mismatch (e.g. a different class count) raises an error
-    naming the offending tensor.
+    or None when the checkpoint was saved without one.  The stored config
+    must hold every field of the model's config, and nothing else.  Every
+    tensor is validated against the shape the rebuilt model expects; a
+    mismatch (e.g. a different class count) raises an error naming the
+    offending tensor.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 8 or raw[:4] != _CKPT_MAGIC:
@@ -610,11 +579,17 @@ def load_checkpoint(path, seed=0):
         config_cls, model_cls = ResnetConfig, ResnetModel
     else:
         raise FormatError(f"unknown checkpoint kind {kind!r}")
+    names = {f.name for f in fields(config_cls)}
     try:
-        config = config_cls.from_dict(config)
-    except (KeyError, TypeError, ValueError) as exc:
+        if config.keys() != names:
+            raise ValueError(f"missing {sorted(names - config.keys())}, "
+                             f"unknown {sorted(config.keys() - names)}")
+        # json holds the tuple fields as lists and the fusion stage as its value
+        config = config_cls(**{k: tuple(v) if isinstance(v, list) else v
+                               for k, v in config.items()})
+    except (ConfigurationError, TypeError, ValueError) as exc:
         raise FormatError(f"{source}: key 'config' is not a {kind} config: {exc}") from exc
-    model = model_cls(config, seed=seed)
+    model = model_cls(config)
     arrays = {}
     for name, entry in json_field(index, "tensors", source, dict).items():
         offset = json_field(entry, "offset", f"{source}, tensor {name!r}", int)

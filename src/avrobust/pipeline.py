@@ -22,8 +22,9 @@ Independent jobs run through ``_map_on_workers``: a pool of forked
 workers, one per usable CPU and each pinned to one BLAS thread and one
 autodiff op thread, that returns results in job order.  ``run_synth``
 and ``generate_dataset`` hand it one job per clip; ``run_sweep`` hands
-it the attacked cells, after training every checkpoint in this process.  With one CPU or one
-job the jobs run here, one after another, and write the same bytes.
+it one job per row, clean or attacked, after training every checkpoint
+in this process.  With one CPU or one job the jobs run here, one after
+another, and write the same bytes.
 """
 
 from __future__ import annotations
@@ -46,12 +47,13 @@ from .config import SweepPlan, serialize_config
 from .container import (
     ClipRecord,
     atomic_write_bytes,
+    json_field,
     read_feature_file,
     read_manifest,
     write_feature_file,
     write_manifest,
 )
-from .errors import AvrobustError, ValidationError
+from .errors import AvrobustError, FormatError, ValidationError
 from .models import _derive_seed
 
 __all__ = [
@@ -217,6 +219,10 @@ def load_split(workdir, split, n_classes):
         raise ValidationError(f"manifest has no {split!r} split")
     feats, video, labels = [], [], []
     for rec in records:
+        for c in rec.labels:
+            if not 0 <= c < n_classes:
+                raise ValidationError(f"clip {rec.id!r} has label {c}, outside the "
+                                      f"{n_classes} configured classes")
         feats.append(read_feature_file(workdir / rec.features))
         video.append(read_feature_file(workdir / rec.video))
         row = np.zeros(n_classes)
@@ -228,11 +234,20 @@ def load_split(workdir, split, n_classes):
 
 
 def _class_names(workdir, n_classes):
+    """One name per configured class, from ``classes.json`` when there is one."""
     path = Path(workdir) / "classes.json"
-    if path.exists():
-        obj = json.loads(path.read_text())
-        return [c["name"] for c in obj["classes"]]
-    return [f"class_{c:02d}" for c in range(n_classes)]
+    if not path.exists():
+        return [f"class_{c:02d}" for c in range(n_classes)]
+    source = f"class bank {path}"
+    try:
+        obj = json.loads(path.read_text("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{source}: invalid JSON ({exc})") from exc
+    classes = json_field(obj, "classes", source, list)
+    if len(classes) != n_classes:
+        raise FormatError(f"{source}: key 'classes' holds {len(classes)} entries, "
+                          f"not the {n_classes} configured classes")
+    return [json_field(c, "name", f"{source}, key 'classes'", str) for c in classes]
 
 
 def build_model(config, n_mels, n_classes):
@@ -247,7 +262,7 @@ def build_model(config, n_mels, n_classes):
         conv_channels=m.conv_channels, pool_time=m.pool_time, pool_freq=m.pool_freq,
         transformer_blocks=m.transformer_blocks, heads=m.heads, width=m.width,
         ff_mult=m.ff_mult, classes=n_classes, dropout=t.dropout,
-        fusion=M.FusionStage(m.fusion), n_mels=n_mels,
+        fusion=m.fusion, n_mels=n_mels,
         video_dim=config.dataset.video_dim, early_video_bins=m.early_video_bins)
     return M.CsnModel(cfg, seed=t.seed)
 
@@ -300,12 +315,9 @@ def run_attack(config, workdir, checkpoint, out=None):
     workdir = Path(workdir)
     model, _, _ = M.load_checkpoint(checkpoint)
     train_data = load_split(workdir, "train", config.dataset.classes)
-    cfg = attack_config_from(config)
-    if cfg.mask is not None:
-        cfg.mask.validate(train_data.audio.shape[1:])
     video = train_data.video if _needs_video(config) else None
     pert = atk.train_universal_perturbation(
-        model, train_data.audio, train_data.labels, cfg, video=video,
+        model, train_data.audio, train_data.labels, attack_config_from(config), video=video,
         provenance=file_sha256(workdir / "manifest.jsonl"))
     out_path = Path(out) if out else workdir / "delta.avfb"
     atk.save_perturbation(out_path, pert)
@@ -321,10 +333,6 @@ def run_eval(config, workdir, checkpoint, perturbation=None, out=None):
     pert_id = "clean"
     if perturbation is not None:
         pert = atk.load_perturbation(perturbation)
-        if pert.delta.shape != eval_data.audio.shape[1:]:
-            raise ValidationError(
-                f"perturbation geometry {pert.delta.shape} does not match the "
-                f"dataset's {eval_data.audio.shape[1:]}")
         pert_id = file_sha256(perturbation)
     meta = {"checkpoint": file_sha256(checkpoint), "perturbation": pert_id,
             "seed": config.train.seed}
@@ -386,6 +394,7 @@ def build_sweep_plan(axis, config, masks=None, eps_list=None, fusions=None,
     return SweepPlan(axis=axis, cells=cells)
 
 
+_CLEAN_HEADS = {"freq": "No,-,-,-", "time": "No,-,-,-", "eps": "-,-,-"}
 _SWEEP_HEADERS = {
     "freq": "freq_mask,eps,norm,alpha,map,auc,dprime",
     "time": "time_mask,eps,norm,alpha,map,auc,dprime",
@@ -405,18 +414,20 @@ def _report_cells(report):
     return f"{report.map:.6f},{report.auc:.6f},{_fmt_dprime(report)}"
 
 
-def _attacked_cell(cell_config, workdir, ckpt, axis, label):
-    """Attack and evaluate one sweep cell: (report path, None) or (None, error repr).
+def _sweep_row(config, workdir, ckpt, report_out, delta_out, error):
+    """Evaluate one sweep row, attacking first when ``delta_out`` is set.
 
+    Returns (report path, None), or (None, error repr) when the row
+    fails; a row whose checkpoint failed to train returns that ``error``.
     Takes and returns only paths and config, so it runs unchanged in a
     pool worker.  Only an ``AvrobustError`` becomes a returned failure.
     """
-    tag = "_".join(str(v) for v in label.values()).replace(":", "-")
+    if error is not None:
+        return None, error
     try:
-        delta_path = run_attack(cell_config, workdir, ckpt,
-                                out=workdir / f"delta_{axis}_{tag}.avfb")
-        return run_eval(cell_config, workdir, ckpt, perturbation=delta_path,
-                        out=workdir / f"report_{axis}_{tag}.json"), None
+        delta = None if delta_out is None else run_attack(config, workdir, ckpt,
+                                                          out=delta_out)
+        return run_eval(config, workdir, ckpt, perturbation=delta, out=report_out), None
     except AvrobustError as exc:
         return None, repr(exc)
 
@@ -425,83 +436,56 @@ def run_sweep(config, workdir, plan, out=None):
     """Run every cell, reusing checkpoints whenever the model is unchanged.
 
     Emits one CSV row per cell (plus one clean row for attack-axis
-    sweeps).  A cell that raises an ``AvrobustError`` is logged to
+    sweeps).  A row that raises an ``AvrobustError`` is logged to
     failures.log and skipped; the partial CSV is still written and the
     failures returned.  Any other exception is a bug and propagates.
 
-    Training every checkpoint and the clean evaluations run first, in
-    this process.  The attacked cells then run through
-    ``_map_on_workers``; rows and failures keep plan order, so every
-    file matches a one-process run.  Training stays here because
-    parameter gradients depend on the BLAS thread count; the
-    input-gradient attack and the evaluation do not at the shapes tested.
+    Every distinct checkpoint is trained first, in this process: parameter
+    gradients depend on the BLAS thread count.  Then every row, clean or
+    attacked, is one ``_map_on_workers`` job; rows and failures keep plan
+    order, so every file matches a one-process run.
     """
     workdir = Path(workdir)
     out_path = Path(out) if out else workdir / f"sweep_{plan.axis}.csv"
-    lines = [_SWEEP_HEADERS[plan.axis]]
-    failures = []
-    checkpoints: dict[str, Path] = {}
-    reports_cache: dict[str, mx.EvalReport] = {}
+    attack_axis = plan.axis in _CLEAN_HEADS
+    rows = []   # (failures.log name, CSV head, config, file tag or None for a clean row)
+    if attack_axis and plan.cells:
+        rows.append(("clean", _CLEAN_HEADS[plan.axis], config, None))
+    for label, cell_config, attacked in plan.cells:
+        head = ",".join(str(v) for v in label.values())
+        if attack_axis:
+            head += f",{cell_config.attack.norm},{cell_config.attack.alpha}"
+        tag = "_".join(str(v) for v in label.values()).replace(":", "-")
+        rows.append((label, head, cell_config, tag if attacked else None))
 
-    def checkpoint_for(cell_config):
+    trained = {}    # model and train sections -> (checkpoint, training error repr or None)
+    jobs = []
+    for _, _, cell_config, tag in rows:
         key = json.dumps({"model": cell_config.model.__dict__,
                           "train": cell_config.train.__dict__}, sort_keys=True,
                          default=str)
-        if key not in checkpoints:
-            path = workdir / f"model_{plan.axis}_{len(checkpoints)}.ckpt"
-            run_train(cell_config, workdir, out=path)
-            checkpoints[key] = path
-        return checkpoints[key]
+        if key not in trained:     # numbered among the checkpoints that trained
+            done = sum(error is None for _, error in trained.values())
+            ckpt = workdir / f"model_{plan.axis}_{done}.ckpt"
+            try:
+                trained[key] = run_train(cell_config, workdir, out=ckpt), None
+            except AvrobustError as exc:
+                trained[key] = ckpt, repr(exc)
+        ckpt, error = trained[key]
+        report_out, delta_out = workdir / f"{ckpt.stem}_clean.json", None
+        if tag is not None:
+            report_out = workdir / f"report_{plan.axis}_{tag}.json"
+            delta_out = workdir / f"delta_{plan.axis}_{tag}.avfb"
+        jobs.append((cell_config, workdir, ckpt, report_out, delta_out, error))
 
-    def clean_report(cell_config, ckpt):
-        key = str(ckpt)
-        if key not in reports_cache:
-            path = run_eval(cell_config, workdir, ckpt,
-                            out=workdir / f"{Path(ckpt).stem}_clean.json")
-            reports_cache[key] = mx.EvalReport.from_json(path.read_text())
-        return reports_cache[key]
-
-    if plan.axis in ("freq", "time", "eps") and plan.cells:
-        try:
-            ckpt = checkpoint_for(config)
-            clean = clean_report(config, ckpt)
-            prefix = {"freq": "No,-,-,-", "time": "No,-,-,-", "eps": "-,-,-"}[plan.axis]
-            lines.append(f"{prefix},{_report_cells(clean)}")
-        except AvrobustError as exc:
-            failures.append(f"clean: {exc!r}")
-
-    # (label, attack config, clean report, error repr) per cell, in plan order;
-    # an attacked cell has neither report nor error until its job has run
-    cells, jobs = [], []
-    for label, cell_config, attacked in plan.cells:
-        try:
-            ckpt = checkpoint_for(cell_config)
-            report = None if attacked else clean_report(cell_config, ckpt)
-        except AvrobustError as exc:
-            cells.append((label, None, None, repr(exc)))
-            continue
-        if attacked:
-            jobs.append((cell_config, workdir, ckpt, plan.axis, label))
-        cells.append((label, cell_config.attack, report, None))
-
-    results = iter(_map_on_workers(_attacked_cell, jobs))
-    for label, a, report, error in cells:
-        if report is None and error is None:
-            report_path, error = next(results)
-            if error is None:
-                report = mx.EvalReport.from_json(Path(report_path).read_text())
-        if error is not None:
-            failures.append(f"{label}: {error}")
-        elif plan.axis in ("freq", "time"):
-            lines.append(f"{label['mask']},{label['eps']},{a.norm},{a.alpha},"
-                         f"{_report_cells(report)}")
-        elif plan.axis == "eps":
-            lines.append(f"{label['eps']},{a.norm},{a.alpha},{_report_cells(report)}")
-        elif plan.axis == "fusion":
-            lines.append(f"{label['fusion']},{label['attack']},{_report_cells(report)}")
+    lines, failures = [_SWEEP_HEADERS[plan.axis]], []
+    for (name, head, _, _), (report_path, error) in zip(
+            rows, _map_on_workers(_sweep_row, jobs)):
+        if error is None:
+            report = mx.EvalReport.from_json(report_path.read_text(), source=str(report_path))
+            lines.append(f"{head},{_report_cells(report)}")
         else:
-            lines.append(f"{label['model']},{label['attack']},{_report_cells(report)}")
-
+            failures.append(f"{name}: {error}")
     atomic_write_bytes(out_path, ("\n".join(lines) + "\n").encode())
     if failures:
         atomic_write_bytes(workdir / "failures.log",

@@ -348,6 +348,48 @@ class TestCorruptInputs:
             assert repr(key) in err
 
 
+CLASS_BANK_EDITS = {   # case -> (edit of the parsed classes.json or None for bad JSON; named)
+    "not-json": (None, "invalid JSON"),
+    "class-no-name": (lambda bank: bank["classes"][0].pop("name"), "'name'"),
+    "no-classes": (lambda bank: bank.update(classes=[]), "'classes'"),
+}
+
+
+class TestCorruptDatasetFiles:
+    @pytest.mark.parametrize("case", sorted(CLASS_BANK_EDITS))
+    def test_bad_class_bank_is_io_error(self, micro_copy, capsys, case):
+        _, workdir = micro_copy
+        edit, named = CLASS_BANK_EDITS[case]
+        path = workdir / "classes.json"
+        if edit is None:
+            path.write_text("{")
+        else:
+            bank = json.loads(path.read_text())
+            edit(bank)
+            path.write_text(json.dumps(bank))
+        assert main(["eval", "--config", str(workdir / "config.ini"), "--workdir",
+                     str(workdir)]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error:" in err and "classes.json" in err and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("label", [99, -1], ids=["too-large", "negative"])
+    def test_label_out_of_range_is_validation_error(self, micro_copy, capsys, label):
+        _, workdir = micro_copy
+        manifest = workdir / "manifest.jsonl"
+        lines = manifest.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["labels"] = [label]
+        lines[0] = json.dumps(record)
+        manifest.write_text("\n".join(lines) + "\n")
+        assert main(["train", "--config", str(workdir / "config.ini"), "--workdir",
+                     str(workdir), "--out", str(workdir / "bad.ckpt")]) == 4
+        err = capsys.readouterr().err
+        assert "validation error:" in err and repr(record["id"]) in err
+        assert f"label {label}," in err and "Traceback" not in err
+        assert not (workdir / "bad.ckpt").exists()
+
+
 def _edit_checkpoint_index(path, edit):
     """Apply ``edit`` to the checkpoint's parsed JSON index in place."""
     raw = path.read_bytes()
@@ -365,6 +407,8 @@ INDEX_EDITS = {   # case -> (edit, the index key the error names)
     "config-unknown-key": (lambda ix: ix["config"].update(bogus=1), "config"),
     "config-no-fusion": (lambda ix: ix["config"].pop("fusion"), "config"),
     "config-bad-fusion": (lambda ix: ix["config"].update(fusion="sideways"), "config"),
+    "config-no-heads": (lambda ix: ix["config"].pop("heads"), "config"),
+    "config-bad-heads": (lambda ix: ix["config"].update(heads=3), "config"),
     "input_norm-list": (lambda ix: ix.update(input_norm=[0.0]), "input_norm"),
     "input_norm-no-std": (lambda ix: ix["input_norm"].pop("std"), "std"),
     "input_norm-short-mean": (lambda ix: ix["input_norm"].update(mean=[0.0]), "mean"),
@@ -644,6 +688,45 @@ class TestSweepIsolation:
         with pytest.raises(TypeError):
             self._sweep(config, workdir, masks=[(0, 20), (20, 40)])
         assert not (workdir / "failures.log").exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_training_fails_every_row_in_plan_order(self, micro_copy, monkeypatch,
+                                                           cpus):
+        config, workdir = micro_copy
+        _use_cpus(monkeypatch, cpus)
+
+        def no_training(config, workdir, out=None):
+            raise ValidationError(f"cannot train {config.model.fusion}")
+
+        monkeypatch.setattr(pipeline, "run_train", no_training)
+        plan = pipeline.build_sweep_plan("freq", config, masks=[None, (0, 20)],
+                                         eps_list=[0.2, 0.5])
+        out_path, failures = pipeline.run_sweep(config, workdir, plan)
+        assert out_path.read_text() == "freq_mask,eps,norm,alpha,map,auc,dprime\n"
+        error = repr(ValidationError("cannot train audio_only"))
+        assert failures == [f"clean: {error}"] + [f"{label}: {error}"
+                                                  for label, _, _ in plan.cells]
+        assert (workdir / "failures.log").read_text() == "\n".join(failures) + "\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_variant_keeps_the_other_rows(self, micro_copy, monkeypatch, cpus):
+        config, workdir = micro_copy
+        _use_cpus(monkeypatch, cpus)
+        train = pipeline.run_train
+
+        def late_fails(config, workdir, out=None):
+            if config.model.fusion == "late":
+                raise ValidationError("cannot train late")
+            return train(config, workdir, out=out)
+
+        monkeypatch.setattr(pipeline, "run_train", late_fails)
+        plan = pipeline.build_sweep_plan("fusion", config, fusions=["audio_only", "late"])
+        out_path, failures = pipeline.run_sweep(config, workdir, plan)
+        rows = out_path.read_text().splitlines()[1:]
+        assert [row.split(",")[:2] for row in rows] == [["audio_only", "no"],
+                                                         ["audio_only", "yes"]]
+        error = repr(ValidationError("cannot train late"))
+        assert failures == [f"{label}: {error}" for label, _, _ in plan.cells[2:]]
 
 
 class TestTrainingPath:

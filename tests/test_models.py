@@ -47,9 +47,14 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             toy_config(heads=3)
 
-    def test_round_trip_dict(self):
-        cfg = toy_config(M.FusionStage.LATE)
-        assert M.CsnConfig.from_dict(cfg.to_dict()) == cfg
+    def test_round_trip_checkpoint(self, tmp_path):
+        for model in (M.CsnModel(toy_config(M.FusionStage.LATE), seed=0),
+                      M.ResnetModel(M.ResnetConfig(stem_channels=4, blocks=1,
+                                                   pool_time=(2, 2), pool_freq=(2, 2),
+                                                   classes=3, n_mels=16), seed=0)):
+            M.save_checkpoint(tmp_path / "model.ckpt", model)
+            loaded, _, _ = M.load_checkpoint(tmp_path / "model.ckpt")
+            assert loaded.config == model.config
 
 
 class TestAudioEncoder:

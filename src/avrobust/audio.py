@@ -21,7 +21,6 @@ __all__ = [
     "hz_to_mel", "mel_to_hz", "mel_filterbank", "mel_bin_peaks",
     "mel_power_spectrogram", "log_mel_spectrogram",
     "synth_clip", "hum_bed", "make_video_surrogate",
-    "band_energy_fraction", "validate_band_dominance",
 ]
 
 LOG_FLOOR = 1e-6
@@ -179,7 +178,7 @@ def default_class_bank(n_classes, n_mels=64, band_lo=2, band_width=6,
 
 
 @lru_cache(maxsize=4)
-def _hum_cached(seed, n_samples, sample_rate, frame_len):
+def hum_bed(seed, n_samples, sample_rate=16000, frame_len=400):
     """Deterministic harmonic-comb background, exactly frame-periodic.
 
     Every component frequency is an integer multiple of
@@ -199,10 +198,6 @@ def _hum_cached(seed, n_samples, sample_rate, frame_len):
     bed /= np.max(np.abs(bed))
     bed.setflags(write=False)
     return bed
-
-
-def hum_bed(seed, n_samples, sample_rate=16000, frame_len=400):
-    return _hum_cached(int(seed), int(n_samples), int(sample_rate), int(frame_len))
 
 
 def _event_times(rng, duration, dur_range):
@@ -315,41 +310,3 @@ def make_video_surrogate(labels, h_dim, n_windows, noise_scale, seed, prototype_
         features = features + noise_scale * np.random.default_rng(seed).standard_normal(
             (h_dim, n_windows))
     return features
-
-
-# ---------------------------------------------------------------------------
-# band-dominance validation
-
-
-def band_energy_fraction(power_spec, band):
-    """Fraction of total mel energy inside [lo, hi) bins."""
-    total = power_spec.sum()
-    if total <= 0:
-        return 0.0
-    lo, hi = band
-    return float(power_spec[:, lo:hi].sum() / total)
-
-
-def validate_band_dominance(power_spec, active_bands, band, *,
-                            single_class_fraction=0.7, multi_class_ratio=3.0):
-    """Check that a class's band dominates the clip's spectral energy.
-
-    Single-class clips must carry at least ``single_class_fraction`` of
-    total energy inside the band.  For multi-class clips the per-bin
-    mean energy inside the band must exceed ``multi_class_ratio`` times
-    the per-bin mean outside the union of all active bands.
-    """
-    if len(active_bands) == 1:
-        return band_energy_fraction(power_spec, band) >= single_class_fraction
-    n_bins = power_spec.shape[1]
-    outside = np.ones(n_bins, dtype=bool)
-    for lo, hi in active_bands:
-        outside[lo:hi] = False
-    lo, hi = band
-    in_mean = power_spec[:, lo:hi].mean()
-    if not outside.any():
-        return in_mean > 0
-    out_mean = power_spec[:, outside].mean()
-    if out_mean <= 0:
-        return in_mean > 0
-    return in_mean >= multi_class_ratio * out_mean

@@ -35,12 +35,12 @@ from .errors import ConfigurationError, DimensionError, StateError, ValidationEr
 
 __all__ = [
     "Tensor", "Tape", "backward",
-    "add", "sub", "mul", "neg", "scale",
+    "add", "sub", "mul", "scale",
     "matmul", "reshape", "transpose", "concat", "gather_rows",
     "reduce_sum", "reduce_mean",
     "relu", "sigmoid", "softmax",
     "conv2d", "pool2d", "add_relu_pool", "attention", "dropout",
-    "bce_with_logits", "bce_on_probs",
+    "bce_on_probs",
 ]
 
 
@@ -109,7 +109,7 @@ class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Use as a context manager around the forward computation; call
-    :func:`backward` (or :meth:`Tape.backward`) exactly once afterwards.
+    :func:`backward` with ``tape=`` exactly once afterwards.
     A second backward on the same tape raises
     :class:`~avrobust.errors.StateError`.
     """
@@ -127,9 +127,6 @@ class Tape:
         assert popped is self
         return False
 
-    def backward(self, loss, params=None):
-        return backward(loss, params=params, tape=self)
-
 
 def _active_tape():
     return _TAPE_STACK[-1] if _TAPE_STACK else None
@@ -146,18 +143,14 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def backward(loss, params=None, tape=None):
-    """Accumulate gradients of a scalar loss over the recorded tape.
+def backward(loss, params=None, *, tape):
+    """Accumulate gradients of a scalar loss over ``tape``.
 
     Returns a dict mapping each requires_grad tensor touched by the
     tape to its gradient array (also mirrored on ``tensor.grad``).
     When ``params`` is given, every listed tensor is guaranteed a key,
     with an all-zero gradient if the loss does not depend on it.
     """
-    if tape is None:
-        tape = _active_tape()
-    if tape is None:
-        raise StateError("backward requires a tape (pass one or call inside a Tape context)")
     if tape.consumed:
         raise StateError("tape already consumed by a previous backward pass")
     if loss.size != 1:
@@ -322,12 +315,6 @@ def mul(a, b):
     return _record(out, (a, b), vjp, "mul")
 
 
-def neg(a):
-    a = _as_tensor(a)
-    out = Tensor._wrap(-a.data, a.requires_grad)
-    return _record(out, (a,), lambda g: (-g,), "neg")
-
-
 def scale(a, c):
     """Multiply by a python scalar (no gradient w.r.t. the scalar)."""
     a = _as_tensor(a)
@@ -463,19 +450,15 @@ def relu(a):
     return _record(out, (a,), vjp, "relu")
 
 
-def _sigmoid(x):
-    # piecewise form avoids exp overflow for large |x|
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def sigmoid(a):
     a = _as_tensor(a)
-    y = _sigmoid(a.data)
+    x = a.data
+    # piecewise form avoids exp overflow for large |x|
+    y = np.empty_like(x)
+    pos = x >= 0
+    y[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    y[~pos] = ex / (1.0 + ex)
     out = Tensor._wrap(y, a.requires_grad)
     return _record(out, (a,), lambda g: (g * y * (1.0 - y),), "sigmoid")
 
@@ -500,12 +483,9 @@ def softmax(a):
 # convolution / pooling
 
 
-def _lift_to_4d(x):
-    if x.ndim == 3:
-        return reshape(x, (1,) + x.shape), True
-    if x.ndim == 4:
-        return x, False
-    raise DimensionError(f"expected (C,T,F) or (B,C,T,F) input, got shape {x.shape}")
+def _check_4d(x):
+    if x.ndim != 4:
+        raise DimensionError(f"expected (B,C,T,F) input, got shape {x.shape}")
 
 
 def _im2col(x, kh, kw, pad_t, pad_f):
@@ -554,26 +534,23 @@ def _im2col(x, kh, kw, pad_t, pad_f):
 def conv2d(x, kernels, padding=(0, 0)):
     """2-D cross-correlation with zero padding.
 
-    ``x`` is (C,T,F) or batched (B,C,T,F); ``kernels`` is (C',C,kh,kw).
+    ``x`` is (B,C,T,F); ``kernels`` is (C',C,kh,kw).
     Output time/freq extents are T+2*pad_t-kh+1 and F+2*pad_f-kw+1.
     """
     x = _as_tensor(x)
     kernels = _as_tensor(kernels)
-    x4, squeezed = _lift_to_4d(x)
+    _check_4d(x)
     if kernels.ndim != 4:
         raise DimensionError(f"kernels must be (C',C,kh,kw), got shape {kernels.shape}")
     c_out, c_in, kh, kw = kernels.shape
-    if c_in != x4.shape[1]:
+    if c_in != x.shape[1]:
         raise DimensionError(
-            f"kernel input channels {c_in} do not match input channels {x4.shape[1]}")
+            f"kernel input channels {c_in} do not match input channels {x.shape[1]}")
     pad_t, pad_f = int(padding[0]), int(padding[1])
-    cols, to, fo = _im2col(x4, kh, kw, pad_t, pad_f)
+    cols, to, fo = _im2col(x, kh, kw, pad_t, pad_f)
     w = reshape(kernels, (c_out, c_in * kh * kw))
     out = matmul(w, cols)                       # (B, C', To*Fo)
-    out = reshape(out, (x4.shape[0], c_out, to, fo))
-    if squeezed:
-        out = reshape(out, (c_out, to, fo))
-    return out
+    return reshape(out, (x.shape[0], c_out, to, fo))
 
 
 def _pool_extents(window, t, f):
@@ -618,51 +595,32 @@ def _route_to_first_max(x, y, g, dx, wt, wf):
             free ^= hit
 
 
-def pool2d(x, window, mode="max"):
-    """Non-overlapping pooling; trailing remainder rows/cols are dropped."""
+def pool2d(x, window):
+    """Non-overlapping max-pooling of (B,C,T,F); trailing remainder rows/cols are dropped.
+
+    The models pool through :func:`add_relu_pool`; this op is the
+    reference its tests compare against.
+    """
     x = _as_tensor(x)
-    if mode not in ("max", "mean"):
-        raise ConfigurationError(f"unknown pool mode {mode!r}")
-    x4, squeezed = _lift_to_4d(x)
-    b, c, t, f = x4.shape
+    _check_4d(x)
+    b, c, t, f = x.shape
     wt, wf, to, fo = _pool_extents(window, t, f)
-
-    def cell(arr, i, j):
-        return _cell(arr, i, j, wt, wf, to, fo)
-
-    data = x4.data
-    if mode == "max":
-        out_data = np.empty((b, c, to, fo))
-        _over_batch(lambda s: _max_pool(data[s], out_data[s], wt, wf), b, data.size)
-    else:
-        out_data = cell(data, 0, 0).copy()
-        for i in range(wt):
-            for j in range(wf):
-                if i or j:
-                    out_data += cell(data, i, j)
-        out_data /= wt * wf
-    out = Tensor._wrap(out_data, x4.requires_grad)
+    data = x.data
+    out_data = np.empty((b, c, to, fo))
+    _over_batch(lambda s: _max_pool(data[s], out_data[s], wt, wf), b, data.size)
+    out = Tensor._wrap(out_data, x.requires_grad)
 
     def vjp(g):
         dx = np.zeros((b, c, t, f), dtype=np.float64)
-        if mode == "max":
-            _over_batch(lambda s: _route_to_first_max(data[s], out_data[s], g[s], dx[s], wt, wf),
-                        b, data.size)
-        else:
-            share = g / (wt * wf)
-            for i in range(wt):
-                for j in range(wf):
-                    cell(dx, i, j)[...] = share
+        _over_batch(lambda s: _route_to_first_max(data[s], out_data[s], g[s], dx[s], wt, wf),
+                    b, data.size)
         return (dx,)
 
-    out = _record(out, (x4,), vjp, f"pool_{mode}")
-    if squeezed:
-        out = reshape(out, (c, to, fo))
-    return out
+    return _record(out, (x,), vjp, "pool_max")
 
 
 def add_relu_pool(x, b, window=(1, 1)):
-    """``pool2d(relu(add(x, b)), window, "max")`` as one tape node: a conv block's tail.
+    """``pool2d(relu(add(x, b)), window)`` as one tape node: a conv block's tail.
 
     ``x`` is (B,C,T,F) and ``b`` broadcasts to it: a (C,1,1) bias, or a
     residual branch of x's shape.  A ``(1, 1)`` window skips the pooling.
@@ -675,8 +633,7 @@ def add_relu_pool(x, b, window=(1, 1)):
     are byte-identical to theirs.
     """
     x, b = _as_tensor(x), _as_tensor(b)
-    if x.ndim != 4:
-        raise DimensionError(f"expected (B,C,T,F) input, got shape {x.shape}")
+    _check_4d(x)
     try:
         fits = np.broadcast_shapes(x.shape, b.shape) == x.shape
     except ValueError:
@@ -769,27 +726,6 @@ def dropout(x, rate, seed, training):
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
     out = Tensor._wrap(x.data * mask, x.requires_grad)
     return _record(out, (x,), lambda g: (g * mask,), "dropout")
-
-
-def bce_with_logits(logits, targets):
-    """Mean multi-label binary cross-entropy on logits, log-sum-exp stable."""
-    logits = _as_tensor(logits)
-    t_data = targets.data if isinstance(targets, Tensor) else np.asarray(targets, dtype=np.float64)
-    if t_data.shape != logits.shape:
-        raise DimensionError(
-            f"targets shape {t_data.shape} does not match logits shape {logits.shape}")
-    if not np.all((t_data == 0.0) | (t_data == 1.0)):
-        raise ValidationError("targets must be binary (0/1)")
-    z = logits.data
-    # softplus(z) - z*y, with softplus(z) = max(z,0) + log1p(exp(-|z|))
-    losses = np.maximum(z, 0.0) - z * t_data + np.log1p(np.exp(-np.abs(z)))
-    out = Tensor._wrap(np.asarray(losses.mean()), logits.requires_grad)
-    n = z.size
-
-    def vjp(g):
-        return (g * (_sigmoid(z) - t_data) / n,)
-
-    return _record(out, (logits,), vjp, "bce_with_logits")
 
 
 def bce_on_probs(probs, targets, floor=1e-7):

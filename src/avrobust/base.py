@@ -1,6 +1,6 @@
 """Helpers shared by the audio, model, attack and metric code.
 
-``check_array`` coerces to a finite float array of a given rank;
+``check_array`` coerces to a finite, non-empty float64 array of a given rank;
 ``check_binary_targets`` accepts only {0,1} multi-hot targets.  Both
 raise ``ValidationError`` (``DimensionError`` for a wrong rank).
 ``minibatches`` is the one seeded batch order that training and the
@@ -14,12 +14,12 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
-def check_array(x, name="array", ndim=None, dtype=np.float64, allow_empty=False):
-    """Coerce to a finite float ndarray, enforcing dimensionality."""
-    arr = np.asarray(x, dtype=dtype)
+def check_array(x, name="array", ndim=None):
+    """Coerce to a finite, non-empty float64 ndarray, enforcing dimensionality."""
+    arr = np.asarray(x, dtype=np.float64)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
-    if not allow_empty and arr.size == 0:
+    if arr.size == 0:
         raise ValidationError(f"{name} must not be empty")
     if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or Inf")

@@ -146,13 +146,13 @@ class ClipRecord:
 def write_manifest(path, records):
     """Write clip records as one JSON object per line.
 
-    Validates id uniqueness and split disjointness before touching disk.
+    Checks that clip ids are unique before touching disk.
     """
-    seen: dict[str, str] = {}
+    seen = set()
     for rec in records:
         if rec.id in seen:
             raise ValidationError(f"duplicate clip id {rec.id!r} in manifest")
-        seen[rec.id] = rec.split
+        seen.add(rec.id)
     body = "".join(rec.to_json() + "\n" for rec in records)
     atomic_write_bytes(path, body.encode("utf-8"))
 

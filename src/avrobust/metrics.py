@@ -30,7 +30,7 @@ __all__ = [
 
 def average_precision(scores, targets):
     """AP of one class; raises ValidationError when there is no positive."""
-    scores = check_array(np.asarray(scores, dtype=np.float64), "scores", ndim=1)
+    scores = check_array(scores, "scores", ndim=1)
     targets = check_binary_targets(targets)
     if targets.shape != scores.shape:
         raise ValidationError("scores and targets must have equal length")
@@ -47,7 +47,7 @@ def average_precision(scores, targets):
 
 def roc_auc(scores, targets):
     """Pairwise-ordering AUC with ties counting 1/2 (midrank statistic)."""
-    scores = check_array(np.asarray(scores, dtype=np.float64), "scores", ndim=1)
+    scores = check_array(scores, "scores", ndim=1)
     targets = check_binary_targets(targets)
     if targets.shape != scores.shape:
         raise ValidationError("scores and targets must have equal length")
@@ -238,14 +238,6 @@ def evaluate(model, audio, labels, video=None, perturbation=None,
 @dataclass
 class ComparisonTable:
     rows: list[dict] = field(default_factory=list)   # sorted by abs_drop desc
-
-    def top_classes(self, k=10):
-        """Top-k class lists by clean and by attacked AP (report layout)."""
-        defined = [r for r in self.rows if r["ap_clean"] is not None
-                   and r["ap_attacked"] is not None]
-        by_clean = sorted(defined, key=lambda r: (-r["ap_clean"], r["class_id"]))[:k]
-        by_attacked = sorted(defined, key=lambda r: (-r["ap_attacked"], r["class_id"]))[:k]
-        return by_clean, by_attacked
 
     def to_csv(self):
         lines = ["class_id,class_name,ap_clean,ap_attacked,abs_drop,rel_drop"]

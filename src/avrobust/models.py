@@ -159,7 +159,7 @@ class _ModelBase:
             probs = self.forward(Tensor(np.asarray(audio, dtype=np.float64)),
                                  video_t, training=training, seed_base=seed_base)
             loss = ad.bce_on_probs(probs, targets)
-        grads = tape.backward(loss, params=list(self.params.values()))
+        grads = ad.backward(loss, params=list(self.params.values()), tape=tape)
         named = {name: grads[p] for name, p in self.params.items()}
         return loss.item(), named
 
@@ -186,7 +186,7 @@ class _ModelBase:
                 video_t = None if video is None else Tensor(np.asarray(video, dtype=np.float64))
                 probs = self.forward(x, video_t, training=False)
                 loss = ad.bce_on_probs(probs, targets)
-            grads = tape.backward(loss, params=[delta_t])
+            grads = ad.backward(loss, params=[delta_t], tape=tape)
         finally:
             for p, flag in frozen:
                 p.requires_grad = flag

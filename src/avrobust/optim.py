@@ -29,13 +29,13 @@ class Adam:
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
     def step(self, grads):
-        """Apply one update from a ``{Tensor: grad}`` or ``{name: grad}`` map."""
+        """Apply one update from a ``{name: grad}`` map."""
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.t
         bc2 = 1.0 - b2 ** self.t
         for name, p in self.params.items():
-            g = grads.get(p) if p in grads else grads.get(name)
+            g = grads.get(name)
             if g is None:
                 continue
             if g.shape != p.data.shape:

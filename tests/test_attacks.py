@@ -30,7 +30,11 @@ def l1_project_bisection(v, eps):
 
 
 class LinearModel:
-    """Single-logit linear scorer z = <w, x + delta> over flattened features."""
+    """Single-logit linear scorer z = <w, x + delta> over flattened features.
+
+    Its loss is the batch-mean logit-form BCE, softplus(z) - y*z, and its
+    delta-gradient the closed form mean(sigmoid(z) - y) * w.
+    """
 
     def __init__(self, w):
         self.w = np.asarray(w, dtype=np.float64)
@@ -39,15 +43,11 @@ class LinearModel:
         audio = np.asarray(audio, dtype=np.float64)
         if delta is None:
             delta = np.zeros(audio.shape[1:])
-        delta_t = Tensor(delta, requires_grad=True)
-        b = audio.shape[0]
-        with ad.Tape() as tape:
-            x = ad.add(Tensor(audio), delta_t)
-            flat = ad.reshape(x, (b, self.w.size))
-            logits = ad.matmul(flat, Tensor(self.w.reshape(-1, 1)))
-            loss = ad.bce_with_logits(logits, np.asarray(targets, dtype=np.float64))
-        grads = tape.backward(loss, params=[delta_t])
-        return loss.item(), grads[delta_t]
+        z = (audio + delta).reshape(audio.shape[0], -1) @ self.w.reshape(-1)
+        y = np.asarray(targets, dtype=np.float64).reshape(-1)
+        loss = np.mean(np.logaddexp(0.0, z) - y * z)
+        sigmoid = np.exp(-np.logaddexp(0.0, -z))
+        return float(loss), np.mean(sigmoid - y) * self.w
 
 
 class TestProject:
@@ -334,7 +334,7 @@ class TestMultimodalGradient:
             with ad.Tape() as tape:
                 out = model.forward(x, Tensor(video))
                 loss = ad.reduce_sum(out)
-            return tape.backward(loss, params=[x])[x]
+            return ad.backward(loss, params=[x], tape=tape)[x]
 
         def audio_branch_sum_grad():
             x = Tensor(audio, requires_grad=True)
@@ -343,7 +343,7 @@ class TestMultimodalGradient:
                 for i in range(model.config.transformer_blocks):
                     h = model.transformer_block(h, f"audio.tf{i}")
                 loss = ad.reduce_sum(model.attention_pool(h, "audio.pool"))
-            return tape.backward(loss, params=[x])[x]
+            return ad.backward(loss, params=[x], tape=tape)[x]
 
         np.testing.assert_allclose(fused_sum_grad(), 0.5 * audio_branch_sum_grad(),
                                    rtol=1e-12, atol=1e-15)

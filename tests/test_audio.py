@@ -106,7 +106,8 @@ class TestSynth:
         assert cls.timbre == "tone"
         w, labels = audio.synth_clip([0], self.bank, duration=10.0, seed=3)
         power = audio.mel_power_spectrogram(w)
-        assert audio.band_energy_fraction(power, cls.band) >= 0.7
+        lo, hi = cls.band
+        assert power[:, lo:hi].sum() / power.sum() >= 0.7
         assert labels[0] == 1.0 and labels.sum() == 1.0
 
     def test_every_tone_clip_dominates_its_band(self):
@@ -115,15 +116,22 @@ class TestSynth:
             cls = self.bank.by_id(4)
             assert cls.timbre == "tone"
             power = audio.mel_power_spectrogram(w)
-            assert audio.validate_band_dominance(power, [cls.band], cls.band)
+            lo, hi = cls.band
+            assert power[:, lo:hi].sum() / power.sum() >= 0.7
 
     def test_multi_class_relative_dominance(self):
         w, _ = audio.synth_clip([0, 1, 2], self.bank, duration=6.0, seed=11)
         power = audio.mel_power_spectrogram(w)
-        bands = [self.bank.by_id(c).band for c in (0, 1, 2)]
+        outside = np.ones(power.shape[1], dtype=bool)
+        for cid in (0, 1, 2):
+            lo, hi = self.bank.by_id(cid).band
+            outside[lo:hi] = False
+        out_mean = power[:, outside].mean()
+        assert out_mean > 0
         for cid in (0, 1, 2):
             if self.bank.by_id(cid).timbre == "tone":
-                assert audio.validate_band_dominance(power, bands, self.bank.by_id(cid).band)
+                lo, hi = self.bank.by_id(cid).band
+                assert power[:, lo:hi].mean() >= 3.0 * out_mean
 
     def test_empty_class_set_rejected(self):
         with pytest.raises(ValidationError):

@@ -7,6 +7,7 @@ name.  A renamed or moved boundary would otherwise surface only as an
 
 import importlib
 import importlib.util
+import pkgutil
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -33,3 +34,13 @@ def test_every_traced_boundary_resolves():
         if not found:
             missing.append(f"{name}: avrobust.{mod_name}.{attr}")
     assert not missing, f"traced boundaries that no longer resolve: {missing}"
+
+
+def test_every_exported_name_resolves():
+    # a stale ``__all__`` entry breaks ``from avrobust.<module> import *``
+    package = importlib.import_module("avrobust")
+    modules = [package] + [importlib.import_module(f"avrobust.{info.name}")
+                           for info in pkgutil.iter_modules(package.__path__)]
+    stale = [f"{mod.__name__}.{name}" for mod in modules
+             for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not stale, f"__all__ names that do not resolve: {stale}"

@@ -45,16 +45,6 @@ def test_shape_mismatch_rejected():
         opt.step({"p": np.zeros((3,))})
 
 
-def test_accepts_tensor_keyed_gradients():
-    p = ad.Tensor([1.0], requires_grad=True)
-    opt = Adam({"p": p}, lr=0.1)
-    with ad.Tape() as tape:
-        loss = ad.reduce_sum(ad.mul(p, p))
-    grads = tape.backward(loss, params=[p])
-    opt.step(grads)
-    assert p.data[0] < 1.0
-
-
 def test_state_round_trip_continues_identically():
     rng = np.random.default_rng(1)
     grads = [rng.standard_normal(5) for _ in range(20)]

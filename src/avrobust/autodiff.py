@@ -11,14 +11,15 @@ All arithmetic is float64.  Operations validate shapes eagerly and
 raise :class:`~avrobust.errors.DimensionError` before touching data, so
 a failed call never leaves a partial node on the tape.
 
-The conv stack's kernels (batched matmul, im2col/col2im, max-pooling,
-relu, and ``add_relu_pool``, the one node of a conv block's bias, relu
-and pooling; forward and backward) split the leading batch axis into one
-contiguous slice per usable CPU and run the slices on op threads; numpy
-releases the GIL inside them.  Each slice does exactly the per-clip
-arithmetic of an unsplit call into an output allocated by the caller,
-and reductions over the batch stay in the caller, so results are
-byte-identical at any op-thread count.  The forked workers of
+Each thread has its own tape stack, so op threads can record and
+replay tapes at once.  :class:`BatchSplit` cuts a batch into one
+contiguous slice per usable CPU; the model entry points run each
+slice's whole forward pass, and later its backward pass, on its own op
+thread and tape (numpy releases the GIL inside its kernels).  The few
+ops that mix rows of the batch (a gradient's sum over the batch, a
+product of two matrices, and dropout's mask) see the slice and compute
+exactly their rows of an unsplit call, so results are byte-identical
+at any op-thread count.  The forked workers of
 ``pipeline._map_on_workers`` run with one op thread.
 """
 
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -102,7 +104,13 @@ class _Node:
         self.name = name
 
 
-_TAPE_STACK: list["Tape"] = []
+class _ThreadState(threading.local):
+    def __init__(self):
+        self.tapes = []         # this thread's active tapes, innermost last
+        self.slice = None       # (split, index) while this thread runs a batch slice
+
+
+_local = _ThreadState()
 
 
 class Tape:
@@ -111,7 +119,8 @@ class Tape:
     Use as a context manager around the forward computation; call
     :func:`backward` with ``tape=`` exactly once afterwards.
     A second backward on the same tape raises
-    :class:`~avrobust.errors.StateError`.
+    :class:`~avrobust.errors.StateError`.  Each thread has its own stack
+    of active tapes.
     """
 
     def __init__(self):
@@ -119,17 +128,18 @@ class Tape:
         self.consumed = False
 
     def __enter__(self):
-        _TAPE_STACK.append(self)
+        _local.tapes.append(self)
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        popped = _TAPE_STACK.pop()
+        popped = _local.tapes.pop()
         assert popped is self
         return False
 
 
 def _active_tape():
-    return _TAPE_STACK[-1] if _TAPE_STACK else None
+    tapes = _local.tapes
+    return tapes[-1] if tapes else None
 
 
 def _record(output, inputs, vjp, name):
@@ -143,22 +153,29 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def backward(loss, params=None, *, tape):
-    """Accumulate gradients of a scalar loss over ``tape``.
+def backward(output, params=None, *, tape, grad=None):
+    """Accumulate gradients of ``output`` over ``tape``.
 
-    Returns a dict mapping each requires_grad tensor touched by the
-    tape to its gradient array (also mirrored on ``tensor.grad``).
-    When ``params`` is given, every listed tensor is guaranteed a key,
-    with an all-zero gradient if the loss does not depend on it.
+    ``output`` is a scalar loss, or any tensor when ``grad`` gives its
+    gradient (an array of its shape) to start from.  Returns a dict
+    mapping each requires_grad tensor touched by the tape to its gradient
+    array (also mirrored on ``tensor.grad``).  When ``params`` is given,
+    every listed tensor is guaranteed a key, with an all-zero gradient if
+    the output does not depend on it.
     """
     if tape.consumed:
         raise StateError("tape already consumed by a previous backward pass")
-    if loss.size != 1:
-        raise DimensionError(f"backward expects a scalar loss, got shape {loss.shape}")
+    if grad is None:
+        if output.size != 1:
+            raise DimensionError(f"backward expects a scalar loss, got shape {output.shape}")
+        grad = np.ones_like(output.data)
+    elif np.shape(grad) != output.shape:
+        raise DimensionError(
+            f"seed gradient shape {np.shape(grad)} does not match output shape {output.shape}")
     tape.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    by_tensor: dict[int, Tensor] = {id(loss): loss}
+    grads: dict[int, np.ndarray] = {id(output): np.asarray(grad, dtype=np.float64)}
+    by_tensor: dict[int, Tensor] = {id(output): output}
     for node in reversed(tape.nodes):
         g_out = grads.pop(id(node.output), None)
         if g_out is None:
@@ -188,14 +205,9 @@ def backward(loss, params=None, *, tape):
 
 
 # ---------------------------------------------------------------------------
-# op threads
+# batch slices on op threads
 
 _OP_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-# Kernels with less work run unsplit.  Timed on the benchmark's kernels
-# (2-CPU AMD EPYC, one BLAS thread), a call split in two took 2-10x its
-# unsplit time below 2**16 elements, about as long near 2**17, and
-# 0.5-0.85x from 2**18 up.
-_SPLIT_MIN = 1 << 17
 _executor = None            # ThreadPoolExecutor of _OP_THREADS - 1 threads, made on first split
 
 
@@ -209,61 +221,166 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_executor)
 
 
-def _run_slice(box, s):
-    # The op thread lets go of ``fn``, and so of the arrays it captures,
-    # before its future completes, so they are always freed in the calling
-    # thread, in program order.  Freed from an op thread, at a moment that
-    # varies from run to run, they would leave the heap in a varying shape,
-    # and pool workers forked from it later would page-fault more or less
-    # by that shape.
-    box.pop()(s)
+class _SliceAborted(Exception):
+    """Raised in a slice that waits on another slice which failed."""
 
 
-def _over_batch(fn, n, work):
-    """Run ``fn(s)`` over contiguous slices ``s`` of a leading axis of length ``n``.
+class BatchSplit:
+    """A batch of ``n`` in contiguous slices, one per op thread.
 
-    One slice per op thread when ``work`` reaches ``_SPLIT_MIN``; it counts
-    the elements of the kernel's largest array, or of both operands and the
-    product for a matmul.  The first slice runs in the calling thread.  With
-    one slice, ``fn(...)`` gets an Ellipsis, so it also takes 0-d arrays.
+    ``run(fn)`` calls ``fn(i)`` for every slice ``i`` at once, slice 0 in
+    the calling thread, and returns the results in slice order; an
+    exception in any slice re-raises in the caller.  ``rows[i]`` indexes
+    slice ``i``'s rows.  With one op thread, or a batch of at most one,
+    there is one slice, ``rows[0]`` takes the whole input, and ``fn(0)``
+    runs as an unsplit call.
+
+    While a slice runs, the three ops that mix rows of the batch see it,
+    so every slice computes exactly its rows of an unsplit call and the
+    results are byte-identical at any op-thread count:
+
+    * a gradient summed over the batch (``_unbroadcast``) is an ordered
+      fold: slice 0 sums its rows, each later slice adds its rows in order
+      onto its predecessor's sum, and the last slice gets the total.
+      numpy's sum over a leading axis is the same left fold.
+    * a product of two matrices, whose left operand's rows are the batch,
+      runs once on the whole batch (``_whole_batch``): BLAS's result for a
+      row depends on how many rows the call holds.
+    * dropout takes the slice's rows of the whole batch's mask.
+
+    Every slice must therefore make the same sequence of folds and
+    products; each tensor derived from the input keeps the batch as its
+    leading axis.  Gradients that reach a tensor without that axis (a
+    parameter) are complete in the last slice only; the others see None.
     """
-    global _executor
-    k = min(_OP_THREADS, n) if work >= _SPLIT_MIN else 1
-    if k <= 1:
-        fn(...)
-        return
-    if _executor is None:
-        _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
-    bounds = [n * i // k for i in range(k + 1)]
-    futures = [_executor.submit(_run_slice, [fn], slice(bounds[i], bounds[i + 1]))
-               for i in range(1, k)]
-    try:
-        fn(slice(0, bounds[1]))
-    finally:
-        wait(futures)
-    for f in futures:
-        f.result()
+
+    def __init__(self, n):
+        k = max(1, min(_OP_THREADS, n))
+        if k == 1:
+            self.rows = [slice(None)]
+        else:
+            bounds = [n * i // k for i in range(k + 1)]
+            self.rows = [slice(bounds[i], bounds[i + 1]) for i in range(k)]
+        self.last = k - 1
+        self._cond = threading.Condition()
+        self._posts = {}            # (exchange number, slice) -> posted value
+        self._exchanges = [0] * k   # exchanges each slice has made so far
+        self._finished = set()      # slices of the current run that returned or raised
+        self._failed = False
+
+    def run(self, fn):
+        global _executor
+        if self.last == 0:
+            return [fn(0)]
+        if _executor is None:
+            _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
+        self._finished.clear()
+        futures = [_executor.submit(self._run_slice, [fn], i) for i in range(1, self.last + 1)]
+        try:
+            outcomes = [self._run_slice([fn], 0)]
+        finally:
+            wait(futures)
+        outcomes += [f.result() for f in futures]
+        errors = [exc for ok, exc in outcomes if not ok]
+        if errors:
+            raise next((e for e in errors if not isinstance(e, _SliceAborted)), errors[0])
+        return [value for _, value in outcomes]
+
+    def _run_slice(self, box, i):
+        # The op thread lets go of ``fn``, and so of the arrays it captures,
+        # before its future completes, so the caller frees them, in program
+        # order, once it drops its own references.
+        fn = box.pop()
+        _local.slice = (self, i)
+        try:
+            return True, fn(i)
+        except BaseException as exc:     # noqa: BLE001 - re-raised by run()
+            with self._cond:
+                self._failed = True
+            return False, exc
+        finally:
+            del fn
+            _local.slice = None
+            with self._cond:
+                self._finished.add(i)
+                self._cond.notify_all()
+
+    def _exchange(self, i):
+        n = self._exchanges[i]
+        self._exchanges[i] = n + 1
+        return n
+
+    def _await(self, key, producers):
+        """Wait, holding ``_cond``, until one of ``producers`` posts ``key``."""
+        while key not in self._posts:
+            if self._failed:
+                raise _SliceAborted("another slice of the batch failed")
+            if any(j in self._finished for j in producers):
+                raise StateError("the slices of a batch made different exchanges")
+            self._cond.wait()
 
 
-def _bmm(a, b):
-    """``np.matmul(a, b)``; a product with a batch axis is split over op threads."""
-    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    if not lead:
-        return np.matmul(a, b)
-    out = np.empty(lead + (a.shape[-2], b.shape[-1]))
-    n = lead[0]
+def _batch_sum(grad):
+    """``grad.sum(axis=0)`` over the batch; in a slice, the ordered fold of :class:`BatchSplit`.
 
-    def part(s):
-        # an operand without the batch axis (or broadcast along it) is shared
-        np.matmul(a[s] if a.ndim == out.ndim and a.shape[0] == n else a,
-                  b[s] if b.ndim == out.ndim and b.shape[0] == n else b, out=out[s])
+    Returns None in every slice but the last.
+    """
+    state = _local.slice
+    if state is None:
+        return grad.sum(axis=0)
+    split, i = state
+    n = split._exchange(i)
+    if i == 0:
+        total = grad.sum(axis=0)
+    else:
+        with split._cond:
+            split._await((n, i - 1), [i - 1])
+            total = split._posts.pop((n, i - 1))
+        for row in grad:
+            total += row
+    if i == split.last:
+        return total
+    with split._cond:
+        split._posts[(n, i)] = total
+        split._cond.notify_all()
+    return None
 
-    _over_batch(part, n, a.size + b.size + out.size)
-    return out
+
+def _whole_batch(fn, *parts):
+    """``fn(*parts)``; in a slice, ``fn`` of every slice's ``parts`` joined along axis 0.
+
+    The last slice to arrive computes it once, and every slice gets the result.
+    """
+    state = _local.slice
+    if state is None:
+        return fn(*parts)
+    split, i = state
+    n = split._exchange(i)
+    keys = [(n, j) for j in range(split.last + 1)]
+    with split._cond:
+        split._posts[(n, i)] = parts
+        ready = all(key in split._posts for key in keys)
+        if not ready:
+            split._await((n, "result"), [j for j in range(split.last + 1) if j != i])
+            return split._posts[(n, "result")]
+        joined = [split._posts.pop(key) for key in keys]
+    result = fn(*(np.concatenate(arrays) for arrays in zip(*joined)))
+    with split._cond:
+        split._posts[(n, "result")] = result
+        split._cond.notify_all()
+    return result
 
 
 def _unbroadcast(grad, shape):
-    """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
+    """Sum a gradient down to ``shape``, undoing numpy broadcasting.
+
+    The first sum over a leading axis is over the batch; in a batch
+    slice it is None outside the last slice.
+    """
+    if grad.ndim > len(shape):
+        grad = _batch_sum(grad)
+        if grad is None:
+            return None
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -324,24 +441,39 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product with numpy broadcasting over leading axes."""
+    """Matrix product with numpy broadcasting over leading axes.
+
+    In a batch slice, a product of two matrices runs on the whole batch
+    (see :class:`BatchSplit`); the rows of its left operand are the batch.
+    """
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    out = Tensor._wrap(_bmm(a.data, b.data), a.requires_grad or b.requires_grad)
     a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
+    state = _local.slice if a.ndim == b.ndim == 2 else None
+    if state is None:
+        out_data = np.matmul(a_data, b_data)
+    else:
+        split, i = state
+        rows = split.rows[i]
+        out_data = _whole_batch(lambda a_all: np.matmul(a_all, b_data), a_data)[rows]
+    out = Tensor._wrap(out_data, need_a or need_b)
+
+    def grads(a_all, g):
+        return (np.matmul(g, np.swapaxes(b_data, -1, -2)) if need_a else None,
+                np.matmul(np.swapaxes(a_all, -1, -2), g) if need_b else None)
 
     def vjp(g):
-        ga = gb = None
-        if need_a:
-            ga = _unbroadcast(_bmm(g, np.swapaxes(b_data, -1, -2)), a_data.shape)
-        if need_b:
-            gb = _unbroadcast(_bmm(np.swapaxes(a_data, -1, -2), g), b_data.shape)
-        return ga, gb
+        if state is None:
+            ga, gb = grads(a_data, g)
+            return (None if ga is None else _unbroadcast(ga, a_data.shape),
+                    None if gb is None else _unbroadcast(gb, b_data.shape))
+        ga, gb = _whole_batch(grads, a_data, g)
+        return None if ga is None else ga[rows], gb if i == split.last else None
 
     return _record(out, (a, b), vjp, "matmul")
 
@@ -430,21 +562,13 @@ def reduce_mean(a, axis=None, keepdims=False):
 
 def relu(a):
     a = _as_tensor(a)
-    x = a.data
-    y = np.empty_like(x)
-    n = x.shape[0] if x.ndim else 1
-    _over_batch(lambda s: np.maximum(x[s], 0.0, out=y[s]), n, x.size)
+    y = np.empty_like(a.data)
+    np.maximum(a.data, 0.0, out=y)
     out = Tensor._wrap(y, a.requires_grad)
 
     def vjp(g):
         dx = np.empty_like(y)
-        live = np.empty(y.shape, dtype=bool)
-
-        def part(s):
-            np.greater(y[s], 0, out=live[s])
-            np.multiply(g[s], live[s], out=dx[s])
-
-        _over_batch(part, n, y.size)
+        np.multiply(g, y > 0, out=dx)
         return (dx,)
 
     return _record(out, (a,), vjp, "relu")
@@ -499,15 +623,9 @@ def _im2col(x, kh, kw, pad_t, pad_f):
     data = x.data
     xp = np.zeros((b, c, t + 2 * pad_t, f + 2 * pad_f))
     cols = np.empty((b, c * kh * kw, to * fo))
-    cols6 = cols.reshape(b, c, kh, kw, to, fo)
-
-    def part(s):
-        xps = xp[s]
-        xps[:, :, pad_t:pad_t + t, pad_f:pad_f + f] = data[s]
-        win = sliding_window_view(xps, (kh, kw), axis=(2, 3))  # (B,C,To,Fo,kh,kw)
-        np.copyto(cols6[s], win.transpose(0, 1, 4, 5, 2, 3))
-
-    _over_batch(part, b, cols.size)
+    xp[:, :, pad_t:pad_t + t, pad_f:pad_f + f] = data
+    win = sliding_window_view(xp, (kh, kw), axis=(2, 3))  # (B,C,To,Fo,kh,kw)
+    np.copyto(cols.reshape(b, c, kh, kw, to, fo), win.transpose(0, 1, 4, 5, 2, 3))
     out = Tensor._wrap(cols, x.requires_grad)
     need_x = x.requires_grad
 
@@ -516,14 +634,9 @@ def _im2col(x, kh, kw, pad_t, pad_f):
             return (None,)
         g6 = g.reshape(b, c, kh, kw, to, fo)
         dxp = np.zeros((b, c, t + 2 * pad_t, f + 2 * pad_f), dtype=np.float64)
-
-        def part(s):
-            dxps, g6s = dxp[s], g6[s]
-            for i in range(kh):
-                for j in range(kw):
-                    dxps[:, :, i:i + to, j:j + fo] += g6s[:, :, i, j]
-
-        _over_batch(part, b, g.size)
+        for i in range(kh):
+            for j in range(kw):
+                dxp[:, :, i:i + to, j:j + fo] += g6[:, :, i, j]
         if pad_t or pad_f:
             dxp = dxp[:, :, pad_t:pad_t + t, pad_f:pad_f + f]
         return (dxp,)
@@ -607,13 +720,12 @@ def pool2d(x, window):
     wt, wf, to, fo = _pool_extents(window, t, f)
     data = x.data
     out_data = np.empty((b, c, to, fo))
-    _over_batch(lambda s: _max_pool(data[s], out_data[s], wt, wf), b, data.size)
+    _max_pool(data, out_data, wt, wf)
     out = Tensor._wrap(out_data, x.requires_grad)
 
     def vjp(g):
         dx = np.zeros((b, c, t, f), dtype=np.float64)
-        _over_batch(lambda s: _route_to_first_max(data[s], out_data[s], g[s], dx[s], wt, wf),
-                    b, data.size)
+        _route_to_first_max(data, out_data, g, dx, wt, wf)
         return (dx,)
 
     return _record(out, (x,), vjp, "pool_max")
@@ -643,33 +755,24 @@ def add_relu_pool(x, b, window=(1, 1)):
     n, c, t, f = x.shape
     wt, wf, to, fo = _pool_extents(window, t, f)
     pooled = (wt, wf) != (1, 1)
-    x_data, b_data, b_shape = x.data, b.data, b.shape
-    b_batched = b.ndim == 4 and b_shape[0] == n
+    b_shape = b.shape
     z = np.empty(x.shape)
-    y = np.empty((n, c, to, fo)) if pooled else z
-
-    def forward(s):
-        zs = z[s]
-        np.add(x_data[s], b_data[s] if b_batched else b_data, out=zs)
-        np.maximum(zs, 0.0, out=zs)
-        if pooled:
-            _max_pool(zs, y[s], wt, wf)
-
-    _over_batch(forward, n, z.size)
+    np.add(x.data, b.data, out=z)
+    np.maximum(z, 0.0, out=z)
+    y = z
+    if pooled:
+        y = np.empty((n, c, to, fo))
+        _max_pool(z, y, wt, wf)
     out = Tensor._wrap(y, x.requires_grad or b.requires_grad)
     need_x, need_b = x.requires_grad, b.requires_grad
 
     def vjp(g):
-        dz = np.zeros(z.shape) if pooled else np.empty(z.shape)
-
-        def backward(s):
-            if pooled:
-                ys = y[s]
-                _route_to_first_max(z[s], ys, g[s] * (ys > 0), dz[s], wt, wf)
-            else:
-                np.multiply(g[s], z[s] > 0, out=dz[s])
-
-        _over_batch(backward, n, z.size)
+        if pooled:
+            dz = np.zeros(z.shape)
+            _route_to_first_max(z, y, g * (y > 0), dz, wt, wf)
+        else:
+            dz = np.empty(z.shape)
+            np.multiply(g, z > 0, out=dz)
         return (dz if need_x else None, _unbroadcast(dz, b_shape) if need_b else None)
 
     return _record(out, (x, b), vjp, "add_relu_pool")
@@ -714,7 +817,11 @@ def attention(q, k, v, heads=1):
 
 
 def dropout(x, rate, seed, training):
-    """Inverted dropout: scales kept activations by 1/(1-rate) in training."""
+    """Inverted dropout: scales kept activations by 1/(1-rate) in training.
+
+    In a batch slice the mask is the slice's rows of the whole batch's
+    mask: the generator skips one draw per entry of the rows before them.
+    """
     rate = float(rate)
     if not 0.0 <= rate < 1.0:
         raise ConfigurationError(f"dropout rate must be in [0, 1), got {rate}")
@@ -722,6 +829,9 @@ def dropout(x, rate, seed, training):
     if not training or rate == 0.0:
         return x
     rng = np.random.default_rng(seed)
+    if _local.slice is not None:
+        split, i = _local.slice
+        rng.bit_generator.advance(split.rows[i].start * (x.size // x.shape[0]))
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
     out = Tensor._wrap(x.data * mask, x.requires_grad)

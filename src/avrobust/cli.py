@@ -26,7 +26,8 @@ EXIT_VALIDATION = 4
 # glibc mallopt parameters (<malloc.h>) and the values main() sets
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 1 << 30), (_M_TRIM_THRESHOLD, 1 << 30))
+_M_ARENA_MAX = -8
+_HEAP_POLICY = ((_M_MMAP_THRESHOLD, 1 << 30), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1))
 _heap_policy = None         # mallopt's return values, once applied
 
 
@@ -38,9 +39,11 @@ def keep_heap_mapped():
     freed top of its heap back to the kernel, and the next step
     page-faults it all in again.  With this policy every block under
     1 GiB comes from the heap, and the heap is trimmed only when 1 GiB
-    of its top is free.  Forked pool workers inherit it.  It changes no
-    computed byte.  Returns mallopt's return values (1 is success), or
-    None where the C library has no ``mallopt``.
+    of its top is free.  The op threads allocate from that one heap too,
+    where glibc would give each thread its own.  Forked pool workers
+    inherit the policy.  It changes no computed byte.  Returns mallopt's
+    return values (1 is success), or None where the C library has no
+    ``mallopt``.
     """
     global _heap_policy
     if _heap_policy is None:
@@ -206,6 +209,11 @@ def _run(args):
 
 def main(argv=None):
     keep_heap_mapped()
+    # the op threads carry all in-process parallelism; BLAS threads would
+    # oversubscribe the cores, and parameter gradients depend on their count
+    set_blas_threads = pipeline._openblas_thread_setter()
+    if set_blas_threads is not None:
+        set_blas_threads(1)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -147,21 +147,26 @@ class _ModelBase:
         return sum(p.size for p in self.params.values())
 
     def predict_proba(self, audio, video=None):
-        """Forward pass without a tape (inference mode), returns (B,C) probs."""
-        audio_t = Tensor(np.asarray(audio, dtype=np.float64))
-        video_t = None if video is None else Tensor(np.asarray(video, dtype=np.float64))
-        return self.forward(audio_t, video_t, training=False).data
+        """Forward pass without a tape (inference mode), returns (B,C) probs.
+
+        Each op thread runs the forward pass of one contiguous batch slice.
+        """
+        audio, video = _float64(audio), _float64(video)
+        split = _batch_split(audio)
+        return np.concatenate(split.run(
+            lambda i: self.forward(*_slice_inputs(audio, video, split.rows[i])).data))
 
     def loss_and_param_grads(self, audio, video, targets, training=True, seed_base=0):
         targets = check_binary_targets(targets)
-        with ad.Tape() as tape:
-            video_t = None if video is None else Tensor(np.asarray(video, dtype=np.float64))
-            probs = self.forward(Tensor(np.asarray(audio, dtype=np.float64)),
-                                 video_t, training=training, seed_base=seed_base)
-            loss = ad.bce_on_probs(probs, targets)
-        grads = ad.backward(loss, params=list(self.params.values()), tape=tape)
-        named = {name: grads[p] for name, p in self.params.items()}
-        return loss.item(), named
+        audio, video = _float64(audio), _float64(video)
+
+        def probs(rows):
+            return self.forward(*_slice_inputs(audio, video, rows),
+                                training=training, seed_base=seed_base)
+
+        loss, grads = _loss_and_grads(_batch_split(audio), probs, targets,
+                                      list(self.params.values()))
+        return loss, {name: grads[p] for name, p in self.params.items()}
 
     def loss_and_input_grad(self, audio, targets, video=None, delta=None):
         """Batch-mean loss and its gradient w.r.t. a shared (T,F) delta.
@@ -171,26 +176,68 @@ class _ModelBase:
         own mean reduction.  Video features, when present, are held
         constant: gradients flow only through the audio input.
         """
-        audio = np.asarray(audio, dtype=np.float64)
+        audio, video = _float64(audio), _float64(video)
         if delta is None:
             delta = np.zeros(audio.shape[1:])
         delta_t = Tensor(np.asarray(delta, dtype=np.float64), requires_grad=True)
         targets = check_binary_targets(targets)
+
+        def probs(rows):
+            x, video_rows = _slice_inputs(audio, video, rows)
+            return self.forward(ad.add(x, delta_t), video_rows, training=False)
+
         # freeze parameters so backward skips their gradient work entirely
         frozen = [(p, p.requires_grad) for p in self.params.values()]
         for p, _ in frozen:
             p.requires_grad = False
         try:
-            with ad.Tape() as tape:
-                x = ad.add(Tensor(audio), delta_t)
-                video_t = None if video is None else Tensor(np.asarray(video, dtype=np.float64))
-                probs = self.forward(x, video_t, training=False)
-                loss = ad.bce_on_probs(probs, targets)
-            grads = ad.backward(loss, params=[delta_t], tape=tape)
+            loss, grads = _loss_and_grads(_batch_split(audio), probs, targets, [delta_t])
         finally:
             for p, flag in frozen:
                 p.requires_grad = flag
-        return loss.item(), grads[delta_t]
+        return loss, grads[delta_t]
+
+
+def _float64(arr):
+    return None if arr is None else np.asarray(arr, dtype=np.float64)
+
+
+def _batch_split(audio):
+    """One slice per op thread of a (B,T,F) batch; a single (T,F) clip is one slice."""
+    return ad.BatchSplit(1 if audio.ndim == 2 else audio.shape[0])
+
+
+def _slice_inputs(audio, video, rows):
+    return Tensor(audio[rows]), None if video is None else Tensor(video[rows])
+
+
+def _loss_and_grads(split, probs_of, targets, wrt):
+    """Batch-mean BCE of ``probs_of(rows)`` and its gradients w.r.t. the tensors ``wrt``.
+
+    Each op thread records the forward pass of its batch slice on its own
+    tape.  The loss and its gradient w.r.t. the probabilities are taken
+    once, on the whole batch; each thread then replays its tape from its
+    rows of that gradient, and the last slice's backward pass holds the
+    gradients of ``wrt`` over the whole batch.
+    """
+    def forward(i):
+        with ad.Tape() as tape:
+            out = probs_of(split.rows[i])
+        return out, tape
+
+    slices = split.run(forward)
+    # not Tensor(): a non-finite probability must reach the loss, which reports it
+    probs = Tensor._wrap(np.concatenate([out.data for out, _ in slices]), True)
+    with ad.Tape() as tape:
+        loss = ad.bce_on_probs(probs, targets)
+    seed = ad.backward(loss, [probs], tape=tape)[probs]
+
+    def backward(i):
+        out, tape = slices[i]
+        return ad.backward(out, wrt if i == split.last else None, tape=tape,
+                           grad=seed[split.rows[i]])
+
+    return loss.item(), split.run(backward)[split.last]
 
 
 class CsnModel(_ModelBase):

@@ -25,6 +25,11 @@ and ``generate_dataset`` hand it one job per clip; ``run_sweep`` hands
 it one job per row, clean or attacked, after training every checkpoint
 in this process.  With one CPU or one job the jobs run here, one after
 another, and write the same bytes.
+
+In this process the op threads carry the parallelism: the model entry
+points run each batch slice's forward and backward pass on its own op
+thread and tape (``autodiff.BatchSplit``), byte-identical at any
+op-thread count, and ``cli.main`` pins BLAS to one thread.
 """
 
 from __future__ import annotations
@@ -440,8 +445,8 @@ def run_sweep(config, workdir, plan, out=None):
     failures.log and skipped; the partial CSV is still written and the
     failures returned.  Any other exception is a bug and propagates.
 
-    Every distinct checkpoint is trained first, in this process: parameter
-    gradients depend on the BLAS thread count.  Then every row, clean or
+    Every distinct checkpoint is trained first, in this process, whose op
+    threads split each training batch.  Then every row, clean or
     attacked, is one ``_map_on_workers`` job; rows and failures keep plan
     order, so every file matches a one-process run.
     """

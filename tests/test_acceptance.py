@@ -7,13 +7,11 @@ fixture took about 145 s, criterion 8 about 40 s and criterion 7 about
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
 
 from avrobust import attacks as atk
-from avrobust import audio as au
 from avrobust import autodiff as ad
 from avrobust import metrics as mx
 from avrobust import models as M

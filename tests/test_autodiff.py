@@ -135,9 +135,7 @@ class TestPool2d:
     def test_max_gradient_with_ties_routes_to_first_maximum(self, monkeypatch, threads):
         """With exact ties the gradient is the one at an input whose first
         maximum (row-major in its window) is raised above the others."""
-        monkeypatch.setattr(ad, "_OP_THREADS", threads)
-        monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
-        monkeypatch.setattr(ad, "_executor", None)
+        use_op_threads(monkeypatch, threads)
         rng = np.random.default_rng(4)
         x = rng.integers(0, 2, size=(3, 2, 4, 6)).astype(np.float64)   # many ties
         w = rng.standard_normal((3, 2, 2, 2))
@@ -145,10 +143,8 @@ class TestPool2d:
         def loss(a):
             return ad.reduce_sum(ad.mul(ad.pool2d(a, (2, 3)), w))
 
-        xt = ad.Tensor(x, requires_grad=True)
-        with ad.Tape() as tape:
-            out = loss(xt)
-        grad = ad.backward(out, params=[xt], tape=tape)[xt]
+        # d loss / d pool2d = w: each slice's backward starts from its rows of w
+        _, (grad,) = on_slices(lambda a: ad.pool2d(a, (2, 3)), w, [x])
         windows = x.reshape(3, 2, 2, 2, 2, 3).transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 2, 2, 6)
         assert np.any((windows == windows.max(axis=-1, keepdims=True)).sum(axis=-1) > 1)
         first = windows.argmax(axis=-1)                # numpy's argmax takes the first
@@ -172,20 +168,48 @@ class TestPool2d:
             ad.pool2d(ad.Tensor(np.zeros((1, 2, 2))), (1, 1))
 
 
+def use_op_threads(monkeypatch, n):
+    monkeypatch.setattr(ad, "_OP_THREADS", n)
+    monkeypatch.setattr(ad, "_executor", None)
+
+
+def on_slices(op, seed, batched, shared=()):
+    """``op(*batched, *shared)`` and the gradients w.r.t. its inputs, with
+    each op thread running one batch slice of the ``batched`` arrays on
+    its own tape, its backward pass started from its rows of ``seed``.
+    The ``shared`` arrays' gradients are summed over the batch."""
+    split = ad.BatchSplit(len(seed))
+    shared = [ad.Tensor(a, requires_grad=True) for a in shared]
+
+    def run(i):
+        rows = split.rows[i]
+        sliced = [ad.Tensor(a[rows], requires_grad=True) for a in batched]
+        with ad.Tape() as tape:
+            out = op(*sliced, *shared)
+        grads = ad.backward(out, sliced + shared, tape=tape, grad=seed[rows])
+        return out.data, [grads[t] for t in sliced], [grads[t] for t in shared]
+
+    parts = split.run(run)
+    return (np.concatenate([p[0] for p in parts]),
+            [np.concatenate([p[1][k] for p in parts]) for k in range(len(batched))]
+            + parts[-1][2])
+
+
 def _block_tail(fused, x, b, window, w):
     """Output, x gradient and b gradient of ``sum(w * tail(x, b))``, where the
-    tail is ``add_relu_pool`` or the add -> relu -> max-pool chain it fuses."""
-    xt, bt = ad.Tensor(x, requires_grad=True), ad.Tensor(b, requires_grad=True)
-    with ad.Tape() as tape:
-        if fused:
-            out = ad.add_relu_pool(xt, bt, window)
-        else:
-            out = ad.relu(ad.add(xt, bt))
-            if window != (1, 1):
-                out = ad.pool2d(out, window)
-        loss = ad.reduce_sum(ad.mul(out, w))
-    grads = ad.backward(loss, params=[xt, bt], tape=tape)
-    return out.data, grads[xt], grads[bt]
+    tail is ``add_relu_pool`` or the add -> relu -> max-pool chain it fuses,
+    each batch slice on its own op thread: a bias's gradient is summed over
+    the batch, a residual branch's is taken per clip."""
+    def chain(xt, bt):
+        out = ad.relu(ad.add(xt, bt))
+        return ad.pool2d(out, window) if window != (1, 1) else out
+
+    tail = (lambda xt, bt: ad.add_relu_pool(xt, bt, window)) if fused else chain
+    if b.shape == x.shape:
+        out, grads = on_slices(tail, w, [x, b])
+    else:
+        out, grads = on_slices(tail, w, [x], [b])
+    return out, *grads
 
 
 class TestAddReluPool:
@@ -194,9 +218,7 @@ class TestAddReluPool:
     @pytest.mark.parametrize("data", ["ties", "normal"])
     @pytest.mark.parametrize("b_kind", ["bias", "residual"])
     def test_bytes_equal_the_unfused_chain(self, monkeypatch, threads, window, data, b_kind):
-        monkeypatch.setattr(ad, "_OP_THREADS", threads)
-        monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
-        monkeypatch.setattr(ad, "_executor", None)
+        use_op_threads(monkeypatch, threads)
         rng = np.random.default_rng(6)
         shape = (5, 3, 4, 6)
         b_shape = (3, 1, 1) if b_kind == "bias" else shape
@@ -207,7 +229,7 @@ class TestAddReluPool:
             x = rng.standard_normal(shape)
             b = np.clip(rng.standard_normal(b_shape), -1.0, 1.0)
         x[:, :, :3, :4] = -2.0 - np.abs(x[:, :, :3, :4])   # windows all <= 0 after the add
-        w = rng.standard_normal(_block_tail(False, x, b, window, 1.0)[0].shape)
+        w = rng.standard_normal((5, 3, 4 // window[0], 6 // window[1]))
         fused = _block_tail(True, x, b, window, w)
         chain = _block_tail(False, x, b, window, w)
         for got, want in zip(fused, chain):

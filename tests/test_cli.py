@@ -527,9 +527,45 @@ def test_heap_policy_keeps_freed_arrays_mapped():
     out = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
     applied, _, second = out.rsplit(maxsplit=2)
-    assert applied == "(1, 1)"
+    assert applied == "(1, 1, 1)"
     pages = 20 * (8 << 20) // os.sysconf("SC_PAGE_SIZE")
     assert int(second) < pages // 100
+
+
+# 2.5-s clips (100 frames), the geometry of criteria 7 and 8, in one B=16 step
+BLAS_INI = """
+[dataset]
+duration = 2.5
+train_clips = 16
+eval_clips = 4
+
+[train]
+epochs = 1
+batch = 16
+"""
+
+CLI_MAIN = "import sys; from avrobust.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def test_trained_checkpoint_does_not_depend_on_blas_threads(tmp_path):
+    """``train`` pins BLAS to one thread, so a run started with two makes the same
+    checkpoint: at 100 frames, audio.conv2.w's gradient differs between 1 and 2."""
+    if pipeline._openblas_thread_setter() is None:
+        pytest.skip("numpy's OpenBLAS thread count cannot be set")
+    ini = tmp_path / "blas.ini"
+    ini.write_text(BLAS_INI)
+    workdir = tmp_path / "run"
+    assert main(["synth", "--config", str(ini), "--workdir", str(workdir)]) == 0
+    checkpoints = []
+    for threads in (1, 2):
+        out = tmp_path / f"model_{threads}.ckpt"
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS=str(threads))
+        subprocess.run([sys.executable, "-c", CLI_MAIN, "train", "--config", str(ini),
+                        "--workdir", str(workdir), "--out", str(out)],
+                       env=env, check=True, capture_output=True, timeout=300)
+        checkpoints.append(out.read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def _use_cpus(monkeypatch, n):

@@ -358,17 +358,20 @@ class TestTraining:
     def test_non_finite_loss_names_its_step(self, monkeypatch):
         audio, labels = make_overfit_set()
         model = M.CsnModel(toy_config(), seed=26)
-        forward, calls = model.forward, []
+        forward, steps = model.forward, []
+        step_3 = M._derive_seed(0, 3)      # train_model's dropout seed for step 3
 
-        def poisoned(*args, **kwargs):
-            calls.append(1)
-            probs = forward(*args, **kwargs)
-            return ad.scale(probs, math.nan) if len(calls) == 3 else probs
+        def poisoned(*args, seed_base=0, **kwargs):
+            # called once per batch slice, so steps are told apart by their seed
+            if seed_base not in steps:
+                steps.append(seed_base)
+            probs = forward(*args, seed_base=seed_base, **kwargs)
+            return ad.scale(probs, math.nan) if seed_base == step_3 else probs
 
         monkeypatch.setattr(model, "forward", poisoned)
         with pytest.raises(ValidationError, match="step 3 of 5"):
             M.train_model(model, audio, labels, steps=5, batch_size=8, seed=0)
-        assert len(calls) == 3
+        assert len(steps) == 3 and steps[-1] == step_3
 
     def test_empty_split_rejected(self):
         model = M.CsnModel(toy_config(), seed=25)

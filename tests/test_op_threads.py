@@ -1,8 +1,7 @@
-"""The conv stack's kernels split the batch over op threads, exactly.
+"""Each op thread runs one batch slice's forward and backward pass, exactly.
 
-Every test lowers the split threshold to 0 so that the toy shapes below
-split too; batches of 5 and 7 do not divide evenly over 2 or 3 threads,
-and a batch of 1 cannot split at all.
+Batches of 5 and 7 do not divide evenly over 2 or 3 threads, a batch of
+1 cannot split at all, and a 2-D input is a single clip.
 """
 
 import os
@@ -42,7 +41,6 @@ def toy_data(n, seed=0):
 
 def use_op_threads(monkeypatch, n):
     monkeypatch.setattr(ad, "_OP_THREADS", n)
-    monkeypatch.setattr(ad, "_SPLIT_MIN", 0)
     monkeypatch.setattr(ad, "_executor", None)
 
 
@@ -56,15 +54,18 @@ def train_and_probe(kind):
     out = {f"param {k}": p.data.tobytes() for k, p in model.params.items()}
     out.update({f"adam {k}": v.tobytes() for k, v in result.optimizer.state_arrays().items()})
     out["loss curve"] = repr(result.loss_curve).encode()
-    for n in (7, 1):
-        v = None if video is None else video[:n]
-        loss, grad = model.loss_and_input_grad(audio[:n], labels[:n], video=v)
+    for n in (7, 5, 1, "one clip"):
+        rows = slice(0, 1) if n == "one clip" else slice(0, n)
+        clips = audio[0] if n == "one clip" else audio[rows]     # (T,F) or (B,T,F)
+        v = None if video is None else video[rows]
+        loss, grad = model.loss_and_input_grad(clips, labels[rows], video=v,
+                                               delta=np.full(audio.shape[1:], 0.01))
         out[f"input grad {n}"] = repr(loss).encode() + grad.tobytes()
-        out[f"probs {n}"] = model.predict_proba(audio[:n], v).tobytes()
+        out[f"probs {n}"] = model.predict_proba(clips, v).tobytes()
     return out
 
 
-@pytest.mark.parametrize("kind", ["early", "late", "resnet"])
+@pytest.mark.parametrize("kind", ["audio_only", "early", "mid1", "mid2", "late", "resnet"])
 def test_training_and_gradients_identical_at_any_op_thread_count(monkeypatch, kind):
     runs = {}
     for threads in (1, 2, 3):
@@ -143,17 +144,6 @@ def test_pool_workers_train_with_one_op_thread(monkeypatch):
     assert run_in_child(child) == 0
 
 
-def test_only_kernels_with_enough_work_split(monkeypatch):
-    monkeypatch.setattr(ad, "_OP_THREADS", 2)
-    monkeypatch.setattr(ad, "_executor", None)
-    ad.relu(ad.Tensor(np.ones((2, ad._SPLIT_MIN // 2 - 1))))
-    assert ad._executor is None
-    # a product as small as a conv weight gradient still splits: its operands count
-    k = ad._SPLIT_MIN // 4
-    ad.matmul(ad.Tensor(np.ones((2, 3, k))), ad.Tensor(np.ones((2, k, 2))))
-    assert ad._executor is not None
-
-
 class KeepingExecutor:
     """Runs each job at once and keeps its callable and arguments, as an op
     thread holds a finished job until it takes the next one."""
@@ -169,16 +159,57 @@ class KeepingExecutor:
 
 
 def test_op_threads_keep_no_array_past_a_split(monkeypatch):
-    # a kernel's arrays are freed in the calling thread, in program order,
+    # a slice's arrays are freed in the calling thread, in program order,
     # however long an op thread holds on to the job it ran
     use_op_threads(monkeypatch, 3)
     monkeypatch.setattr(ad, "_executor", KeepingExecutor())
+    split = ad.BatchSplit(5)
+
     def summing(a):
-        return lambda s: a[s].sum()
+        return lambda i: a[split.rows[i]].sum()
 
     x = np.ones((5, 4))
     freed = weakref.ref(x)
-    ad._over_batch(summing(x), 5, x.size)
+    assert split.run(summing(x)) == [4.0, 8.0, 8.0]
     assert len(ad._executor.jobs) == 2
     del x
     assert freed() is None
+
+
+class SliceFailure(Exception):
+    pass
+
+
+@pytest.mark.parametrize("phase", ["forward", "backward"])
+def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
+    """One slice raises while the others wait for it: at the whole-batch
+    product of ResNet's head (forward) or at a gradient fold (backward).
+    The caller gets the slice's own exception, and the op threads are
+    free for the next batch."""
+    use_op_threads(monkeypatch, 3)
+    audio, _, labels = toy_data(7)
+    model = toy_model("resnet")
+    expected = model.predict_proba(audio)
+    forward, backward = model.forward, ad.backward
+
+    def failing_forward(*args, **kwargs):
+        if ad._local.slice is not None and ad._local.slice[1] == 1:
+            raise SliceFailure("slice 1 forward")
+        return forward(*args, **kwargs)
+
+    def failing_backward(*args, **kwargs):
+        if ad._local.slice is not None and ad._local.slice[1] == 0:
+            raise SliceFailure("slice 0 backward")
+        return backward(*args, **kwargs)
+
+    def child():
+        if phase == "forward":
+            model.forward = failing_forward
+        else:
+            ad.backward = failing_backward
+        with pytest.raises(SliceFailure, match=f"{phase}"):
+            model.loss_and_param_grads(audio, None, labels)
+        model.forward, ad.backward = forward, backward
+        assert np.array_equal(model.predict_proba(audio), expected)
+
+    assert run_in_child(child, timeout=60.0) == 0

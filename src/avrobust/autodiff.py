@@ -36,7 +36,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import ConfigurationError, DimensionError, StateError, ValidationError
 
 __all__ = [
-    "Tensor", "Tape", "backward",
+    "Tensor", "Tape", "backward", "BatchSplit",
     "add", "sub", "mul", "scale",
     "matmul", "reshape", "transpose", "concat", "gather_rows",
     "reduce_sum", "reduce_mean",

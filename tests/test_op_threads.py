@@ -207,7 +207,7 @@ def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
             model.forward = failing_forward
         else:
             ad.backward = failing_backward
-        with pytest.raises(SliceFailure, match=f"{phase}"):
+        with pytest.raises(SliceFailure, match=phase):
             model.loss_and_param_grads(audio, None, labels)
         model.forward, ad.backward = forward, backward
         assert np.array_equal(model.predict_proba(audio), expected)

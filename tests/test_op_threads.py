@@ -18,6 +18,7 @@ import pytest
 from avrobust import autodiff as ad
 from avrobust import models as M
 from avrobust import pipeline
+from avrobust.errors import StateError
 
 TOY = dict(conv_channels=(2, 3), pool_time=(2, 2), pool_freq=(2, 2),
            transformer_blocks=1, heads=2, width=8, ff_mult=2, classes=3,
@@ -211,5 +212,21 @@ def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
             model.loss_and_param_grads(audio, None, labels)
         model.forward, ad.backward = forward, backward
         assert np.array_equal(model.predict_proba(audio), expected)
+
+    assert run_in_child(child, timeout=60.0) == 0
+
+
+def test_slices_that_fold_out_of_step_raise(monkeypatch):
+    """A slice that waits for a partial sum its predecessor never posts
+    raises once the predecessor has finished, rather than wait forever."""
+    use_op_threads(monkeypatch, 2)
+    split = ad.BatchSplit(4)
+
+    def fold_in_slice_1_only(i):
+        return ad._batch_sum(np.ones((2, 3))) if i == 1 else None
+
+    def child():
+        with pytest.raises(StateError, match="different exchanges"):
+            split.run(fold_in_slice_1_only)
 
     assert run_in_child(child, timeout=60.0) == 0

@@ -1,11 +1,14 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
 The engine is tape-based: while a :class:`Tape` is active, every
-operation on :class:`Tensor` objects appends a node holding references
-to its inputs and a closure that maps the output gradient to input
-gradients.  ``backward`` replays the tape once, in reverse execution
-order (which is a valid topological order by construction), and then
-marks the tape consumed.
+operation on :class:`Tensor` objects appends a node and links its
+output to it.  A node holds its parent nodes and a closure that maps
+the output gradient to input gradients; the closure keeps only the
+arrays those gradients read, so the forward pass frees every other
+intermediate array once it drops it.
+``backward`` replays the tape once, in reverse execution order (which
+is a valid topological order by construction), and then marks the tape
+consumed.
 
 All arithmetic is float64.  Operations validate shapes eagerly and
 raise :class:`~avrobust.errors.DimensionError` before touching data, so
@@ -55,7 +58,7 @@ class Tensor:
     own guards).
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -64,6 +67,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
+        self.node = None        # the tape node that made this tensor
 
     @classmethod
     def _wrap(cls, arr, requires_grad):
@@ -71,6 +75,7 @@ class Tensor:
         t.data = arr
         t.requires_grad = requires_grad
         t.grad = None
+        t.node = None
         return t
 
     @property
@@ -95,11 +100,11 @@ class Tensor:
 
 
 class _Node:
-    __slots__ = ("output", "inputs", "vjp", "name")
+    # parents: per input, the node that made it, else the input itself; None if no gradient
+    __slots__ = ("parents", "vjp", "name")
 
-    def __init__(self, output, inputs, vjp, name):
-        self.output = output
-        self.inputs = inputs
+    def __init__(self, parents, vjp, name):
+        self.parents = parents
         self.vjp = vjp
         self.name = name
 
@@ -117,7 +122,9 @@ class Tape:
     """Ordered record of executed operations for one forward pass.
 
     Use as a context manager around the forward computation; call
-    :func:`backward` with ``tape=`` exactly once afterwards.
+    :func:`backward` with ``tape=`` exactly once afterwards.  ``nodes``
+    holds every node in execution order; the nodes hold no tensors, so
+    the arrays the tape keeps alive are those its vjp closures read.
     A second backward on the same tape raises
     :class:`~avrobust.errors.StateError`.  Each thread has its own stack
     of active tapes.
@@ -145,7 +152,9 @@ def _active_tape():
 def _record(output, inputs, vjp, name):
     tape = _active_tape()
     if tape is not None and output.requires_grad:
-        tape.nodes.append(_Node(output, inputs, vjp, name))
+        parents = tuple((t.node or t) if t.requires_grad else None for t in inputs)
+        output.node = _Node(parents, vjp, name)
+        tape.nodes.append(output.node)
     return output
 
 
@@ -158,8 +167,9 @@ def backward(output, params=None, *, tape, grad=None):
 
     ``output`` is a scalar loss, or any tensor when ``grad`` gives its
     gradient (an array of its shape) to start from.  Returns a dict
-    mapping each requires_grad tensor touched by the tape to its gradient
-    array (also mirrored on ``tensor.grad``).  When ``params`` is given,
+    mapping each requires_grad tensor that the tape reached but no node
+    made (a parameter, an input) to its gradient array (also mirrored on
+    ``tensor.grad``).  When ``params`` is given,
     every listed tensor is guaranteed a key, with an all-zero gradient if
     the output does not depend on it.
     """
@@ -174,26 +184,23 @@ def backward(output, params=None, *, tape, grad=None):
             f"seed gradient shape {np.shape(grad)} does not match output shape {output.shape}")
     tape.consumed = True
 
-    grads: dict[int, np.ndarray] = {id(output): np.asarray(grad, dtype=np.float64)}
-    by_tensor: dict[int, Tensor] = {id(output): output}
+    # keyed by node, or by the tensor itself where no node made it
+    grads = {output.node or output: np.asarray(grad, dtype=np.float64)}
     for node in reversed(tape.nodes):
-        g_out = grads.pop(id(node.output), None)
+        g_out = grads.pop(node, None)
         if g_out is None:
             continue
-        for inp, g_in in zip(node.inputs, node.vjp(g_out)):
-            if g_in is None or not inp.requires_grad:
+        for parent, g_in in zip(node.parents, node.vjp(g_out)):
+            if g_in is None or parent is None:
                 continue
-            key = id(inp)
-            if key in grads:
-                grads[key] = grads[key] + g_in
+            if parent in grads:
+                grads[parent] = grads[parent] + g_in
             else:
-                grads[key] = g_in
-                by_tensor[key] = inp
+                grads[parent] = g_in
 
     result = {}
-    for key, g in grads.items():
-        t = by_tensor[key]
-        if t.requires_grad:
+    for t, g in grads.items():
+        if isinstance(t, Tensor) and t.requires_grad:
             t.grad = g
             result[t] = g
     if params is not None:
@@ -422,12 +429,14 @@ def sub(a, b):
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
     out = Tensor._wrap(a.data * b.data, a.requires_grad or b.requires_grad)
-    a_data, b_data = a.data, b.data
+    a_shape, b_shape = a.shape, b.shape
     need_a, need_b = a.requires_grad, b.requires_grad
+    # each operand is kept only for the other operand's gradient
+    a_data, b_data = a.data if need_b else None, b.data if need_a else None
 
     def vjp(g):
-        return (_unbroadcast(g * b_data, a_data.shape) if need_a else None,
-                _unbroadcast(g * a_data, b_data.shape) if need_b else None)
+        return (_unbroadcast(g * b_data, a_shape) if need_a else None,
+                _unbroadcast(g * a_data, b_shape) if need_b else None)
 
     return _record(out, (a, b), vjp, "mul")
 
@@ -462,17 +471,20 @@ def matmul(a, b):
         rows = split.rows[i]
         out_data = _whole_batch(lambda a_all: np.matmul(a_all, b_data), a_data)[rows]
     out = Tensor._wrap(out_data, need_a or need_b)
+    a_shape, b_shape = a.shape, b.shape
+    # each operand is kept only for the other operand's gradient
+    a_kept, b_kept = (a_data,) if need_b else (), b_data if need_a else None
 
-    def grads(a_all, g):
-        return (np.matmul(g, np.swapaxes(b_data, -1, -2)) if need_a else None,
-                np.matmul(np.swapaxes(a_all, -1, -2), g) if need_b else None)
+    def grads(g, *a_all):
+        return (np.matmul(g, np.swapaxes(b_kept, -1, -2)) if need_a else None,
+                np.matmul(np.swapaxes(a_all[0], -1, -2), g) if need_b else None)
 
     def vjp(g):
         if state is None:
-            ga, gb = grads(a_data, g)
-            return (None if ga is None else _unbroadcast(ga, a_data.shape),
-                    None if gb is None else _unbroadcast(gb, b_data.shape))
-        ga, gb = _whole_batch(grads, a_data, g)
+            ga, gb = grads(g, *a_kept)
+            return (None if ga is None else _unbroadcast(ga, a_shape),
+                    None if gb is None else _unbroadcast(gb, b_shape))
+        ga, gb = _whole_batch(grads, g, *a_kept)
         return None if ga is None else ga[rows], gb if i == split.last else None
 
     return _record(out, (a, b), vjp, "matmul")
@@ -740,9 +752,9 @@ def add_relu_pool(x, b, window=(1, 1)):
     max-pools that buffer; the backward routes the gradient to each
     window's first maximum, masked by ``z > 0`` (at a routed entry ``z``
     is the window's maximum, so the mask is taken on the pooled gradient).
-    It keeps one full-size activation and makes one full-size gradient,
-    where the three ops keep three of each; its outputs and gradients
-    are byte-identical to theirs.
+    It keeps one full-size activation (unpooled, only its ``z > 0`` mask)
+    and makes one full-size gradient, where the three ops keep three of
+    each; its outputs and gradients are byte-identical to theirs.
     """
     x, b = _as_tensor(x), _as_tensor(b)
     _check_4d(x)
@@ -765,14 +777,16 @@ def add_relu_pool(x, b, window=(1, 1)):
         _max_pool(z, y, wt, wf)
     out = Tensor._wrap(y, x.requires_grad or b.requires_grad)
     need_x, need_b = x.requires_grad, b.requires_grad
+    saved = (z, y) if pooled else z > 0     # unpooled, only the bool mask
 
     def vjp(g):
         if pooled:
-            dz = np.zeros(z.shape)
-            _route_to_first_max(z, y, g * (y > 0), dz, wt, wf)
+            z_in, y_out = saved
+            dz = np.zeros(z_in.shape)
+            _route_to_first_max(z_in, y_out, g * (y_out > 0), dz, wt, wf)
         else:
-            dz = np.empty(z.shape)
-            np.multiply(g, z > 0, out=dz)
+            dz = np.empty(saved.shape)
+            np.multiply(g, saved, out=dz)
         return (dz if need_x else None, _unbroadcast(dz, b_shape) if need_b else None)
 
     return _record(out, (x, b), vjp, "add_relu_pool")

@@ -178,7 +178,7 @@ class _ModelBase:
         """
         audio, video = _float64(audio), _float64(video)
         if delta is None:
-            delta = np.zeros(audio.shape[1:])
+            delta = np.zeros(audio.shape[-2:])
         delta_t = Tensor(np.asarray(delta, dtype=np.float64), requires_grad=True)
         targets = check_binary_targets(targets)
 

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -415,12 +416,13 @@ class TestBackward:
             a = ad.mul(x, x)
             b = ad.add(a, x)
             ad.reduce_sum(ad.matmul(b, a))
-        seen = {id(x)}
+        seen = set()
         for node in tape.nodes:
-            for inp in node.inputs:
-                # every non-leaf input must have been produced earlier
-                assert id(inp) in seen or not inp.requires_grad
-            seen.add(id(node.output))
+            for parent in node.parents:
+                # every parent node must have been recorded earlier
+                assert parent in seen or parent is x
+            seen.add(node)
+        assert [node.name for node in tape.nodes] == ["mul", "add", "matmul", "sum"]
 
     def test_composite_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
@@ -470,6 +472,86 @@ class TestBackward:
                 lambda a, b: ad.reduce_mean(
                     ad.sigmoid(ad.pool2d(ad.conv2d(a, b, padding=(1, 1)), (2, 2)))),
                 x, k, rtol=1e-4)
+
+
+class TestRetention:
+    """A tape keeps only the arrays its vjps read; the forward pass frees the rest."""
+
+    @staticmethod
+    def run(forward, leaves, keep):
+        """Record ``forward(watch)`` and replay it from its scalar loss.
+
+        ``watch(t)`` returns ``t`` after taking a weak reference to its
+        array, and with ``keep`` a strong reference to ``t`` too.  Returns
+        which watched arrays were freed by the end of the forward pass, and
+        the gradients of ``leaves``.
+        """
+        refs, held = [], []
+
+        def watch(t):
+            refs.append(weakref.ref(t.data))
+            if keep:
+                held.append(t)
+            return t
+
+        with ad.Tape() as tape:
+            loss = forward(watch)
+        freed = [ref() is None for ref in refs]
+        grads = ad.backward(loss, leaves, tape=tape)
+        return freed, [grads[t] for t in leaves]
+
+    def check(self, forward, leaves, freed):
+        got, grads = self.run(forward, leaves, keep=False)
+        assert got == freed
+        kept, reference = self.run(forward, leaves, keep=True)
+        assert kept == [False] * len(freed)
+        for g, r in zip(grads, reference):
+            assert g.tobytes() == r.tobytes()
+
+    def test_conv_output_feeding_add_relu_pool(self):
+        rng = np.random.default_rng(31)
+        x = ad.Tensor(rng.standard_normal((2, 2, 6, 6)), requires_grad=True)
+        k = ad.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=True)
+        b = ad.Tensor(rng.standard_normal((3, 1, 1)), requires_grad=True)
+
+        def forward(watch):
+            out = ad.add_relu_pool(watch(ad.conv2d(x, k, padding=(1, 1))), b, (2, 2))
+            return ad.reduce_sum(ad.mul(out, out))
+
+        self.check(forward, [x, k, b], freed=[True])
+
+    def test_attention_scores(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        q, k, v = (ad.Tensor(rng.standard_normal((2, 5, 4)), requires_grad=True)
+                   for _ in range(3))
+        scale, softmax = ad.scale, ad.softmax
+
+        def forward(watch):
+            # the raw scores (scale's input) and the scaled ones (softmax's)
+            monkeypatch.setattr(ad, "scale", lambda a, c: scale(watch(a), c))
+            monkeypatch.setattr(ad, "softmax", lambda a: softmax(watch(a)))
+            out = ad.attention(q, k, v, heads=2)
+            return ad.reduce_sum(ad.mul(out, out))
+
+        self.check(forward, [q, k, v], freed=[True, True])
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_im2col_columns_kept_only_for_the_kernel_gradient(self, monkeypatch, frozen):
+        rng = np.random.default_rng(33)
+        x = ad.Tensor(rng.standard_normal((2, 2, 6, 6)), requires_grad=True)
+        k = ad.Tensor(rng.standard_normal((3, 2, 3, 3)), requires_grad=not frozen)
+        im2col = ad._im2col
+
+        def forward(watch):
+            def watched(*args):
+                cols, to, fo = im2col(*args)
+                return watch(cols), to, fo
+
+            monkeypatch.setattr(ad, "_im2col", watched)
+            h = ad.conv2d(x, k, padding=(1, 1))
+            return ad.reduce_sum(ad.mul(h, h))
+
+        self.check(forward, [x] if frozen else [x, k], freed=[frozen])
 
 
 class TestGatherConcat:

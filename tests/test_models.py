@@ -215,6 +215,15 @@ class TestModelForward:
         numeric = finite_difference(loss_at, np.zeros((8, 16)))
         np.testing.assert_allclose(grad, numeric, rtol=1e-4, atol=1e-9)
 
+    def test_single_clip_input_gradient_is_the_batch_of_one_gradient(self):
+        model = M.CsnModel(toy_config(), seed=15)
+        audio, _, labels = toy_inputs(batch=1)
+        loss, grad = model.loss_and_input_grad(audio[0], labels)
+        loss_batch, grad_batch = model.loss_and_input_grad(audio, labels)
+        assert grad.shape == (8, 16)
+        assert loss == loss_batch
+        assert grad.tobytes() == grad_batch.tobytes()
+
     def test_probabilities_in_unit_interval_all_fusions(self):
         audio, video, _ = toy_inputs(batch=3)
         for fusion in M.FusionStage:

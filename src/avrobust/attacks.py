@@ -257,10 +257,8 @@ def train_universal_perturbation(model, audio, labels, cfg, video=None,
         delta = np.zeros(shape)
     steps = cfg.resolved_steps()
     for step, idx in enumerate(minibatches(rng, audio.shape[0], cfg.batch_size, steps)):
-        batch_video = None if video is None else np.asarray(video[idx], dtype=np.float64)
         _, grad = model.loss_and_input_grad(
-            np.asarray(audio[idx], dtype=np.float64), labels[idx],
-            video=batch_video, delta=delta)
+            audio[idx], labels[idx], video=None if video is None else video[idx], delta=delta)
         delta = pgd_step(delta, grad, cfg)
         if step_hook is not None:
             step_hook(step, delta)

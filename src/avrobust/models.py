@@ -149,16 +149,16 @@ class _ModelBase:
     def predict_proba(self, audio, video=None):
         """Forward pass without a tape (inference mode), returns (B,C) probs.
 
-        Each op thread runs the forward pass of one contiguous batch slice.
+        The batch runs in chunks on the op threads (``autodiff.BatchSplit``).
         """
-        audio, video = _float64(audio), _float64(video)
+        audio, video = _as_array(audio), _as_array(video)
         split = _batch_split(audio)
         return np.concatenate(split.run(
             lambda i: self.forward(*_slice_inputs(audio, video, split.rows[i])).data))
 
     def loss_and_param_grads(self, audio, video, targets, training=True, seed_base=0):
         targets = check_binary_targets(targets)
-        audio, video = _float64(audio), _float64(video)
+        audio, video = _as_array(audio), _as_array(video)
 
         def probs(rows):
             return self.forward(*_slice_inputs(audio, video, rows),
@@ -176,7 +176,7 @@ class _ModelBase:
         own mean reduction.  Video features, when present, are held
         constant: gradients flow only through the audio input.
         """
-        audio, video = _float64(audio), _float64(video)
+        audio, video = _as_array(audio), _as_array(video)
         if delta is None:
             delta = np.zeros(audio.shape[-2:])
         delta_t = Tensor(np.asarray(delta, dtype=np.float64), requires_grad=True)
@@ -198,12 +198,13 @@ class _ModelBase:
         return loss, grads[delta_t]
 
 
-def _float64(arr):
-    return None if arr is None else np.asarray(arr, dtype=np.float64)
+def _as_array(arr):
+    # converted to float64 a chunk at a time, by _slice_inputs
+    return None if arr is None else np.asarray(arr)
 
 
 def _batch_split(audio):
-    """One slice per op thread of a (B,T,F) batch; a single (T,F) clip is one slice."""
+    """The chunks of a (B,T,F) batch; a single (T,F) clip is one chunk."""
     return ad.BatchSplit(1 if audio.ndim == 2 else audio.shape[0])
 
 
@@ -214,30 +215,27 @@ def _slice_inputs(audio, video, rows):
 def _loss_and_grads(split, probs_of, targets, wrt):
     """Batch-mean BCE of ``probs_of(rows)`` and its gradients w.r.t. the tensors ``wrt``.
 
-    Each op thread records the forward pass of its batch slice on its own
-    tape.  The loss and its gradient w.r.t. the probabilities are taken
-    once, on the whole batch; each thread then replays its tape from its
-    rows of that gradient, and the last slice's backward pass holds the
-    gradients of ``wrt`` over the whole batch.
+    Each chunk records its forward pass on its own tape and replays it at
+    once, from its rows of the loss's gradient w.r.t. the probabilities,
+    so its tape is freed before its op thread takes the next chunk.  The
+    last chunk's backward pass holds the gradients of ``wrt`` over the
+    whole batch, and the loss is taken once, on the whole batch.
     """
-    def forward(i):
+    def chunk(i):
+        rows = split.rows[i]
         with ad.Tape() as tape:
-            out = probs_of(split.rows[i])
-        return out, tape
+            out = probs_of(rows)
+        t = targets[rows]
+        if t.shape != out.shape:
+            raise DimensionError(f"targets shape {t.shape} does not match probs shape {out.shape}")
+        grad = ad.bce_grad(out.data, t, targets.size)
+        return out.data, ad.backward(out, wrt if i == split.last else None, tape=tape,
+                                     grad=grad)
 
-    slices = split.run(forward)
+    chunks = split.run(chunk)
     # not Tensor(): a non-finite probability must reach the loss, which reports it
-    probs = Tensor._wrap(np.concatenate([out.data for out, _ in slices]), True)
-    with ad.Tape() as tape:
-        loss = ad.bce_on_probs(probs, targets)
-    seed = ad.backward(loss, [probs], tape=tape)[probs]
-
-    def backward(i):
-        out, tape = slices[i]
-        return ad.backward(out, wrt if i == split.last else None, tape=tape,
-                           grad=seed[split.rows[i]])
-
-    return loss.item(), split.run(backward)[split.last]
+    probs = Tensor._wrap(np.concatenate([out for out, _ in chunks]), False)
+    return ad.bce_on_probs(probs, targets).item(), chunks[-1][1]
 
 
 class CsnModel(_ModelBase):
@@ -464,8 +462,10 @@ class ResnetModel(_ModelBase):
             # the residual sum takes the bias's place
             h = ad.add_relu_pool(h, branch, (cfg.pool_time[i + 1], cfg.pool_freq[i + 1]))
         pooled = ad.reduce_mean(ad.reduce_mean(h, axis=-1), axis=-1)   # (B,C_stem)
+        # one (1,C_stem) product per clip, so a clip's logits do not depend on the batch
+        pooled = ad.reshape(pooled, (b, 1, cfg.stem_channels))
         logits = ad.add(ad.matmul(pooled, self.params["head.w"]), self.params["head.b"])
-        return ad.sigmoid(logits)
+        return ad.sigmoid(ad.reshape(logits, (b, cfg.classes)))
 
 
 # ---------------------------------------------------------------------------
@@ -536,10 +536,8 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
     result = TrainResult(optimizer=opt)
     rng = np.random.default_rng(_derive_seed(seed, 0xD5))
     for step, idx in enumerate(minibatches(rng, n, batch_size, steps)):
-        batch_audio = audio[idx].astype(np.float64)
-        batch_video = None if video is None else video[idx].astype(np.float64)
         loss, grads = model.loss_and_param_grads(
-            batch_audio, batch_video, labels[idx], training=True,
+            audio[idx], None if video is None else video[idx], labels[idx], training=True,
             seed_base=_derive_seed(seed, step + 1))
         if not math.isfinite(loss):
             raise ValidationError(f"training loss is {loss} at step {step + 1} of {steps}")

@@ -27,9 +27,12 @@ in this process.  With one CPU or one job the jobs run here, one after
 another, and write the same bytes.
 
 In this process the op threads carry the parallelism: the model entry
-points run each batch slice's forward and backward pass on its own op
-thread and tape (``autodiff.BatchSplit``), byte-identical at any
-op-thread count, and ``cli.main`` pins BLAS to one thread.
+points cut each batch into chunks of a few rows, and each op thread runs
+its chunks' forward and backward passes, one chunk at a time and each
+on its own tape (``autodiff.BatchSplit``), byte-identical at any chunk
+size and op-thread count; ``cli.main`` pins BLAS to one thread.
+``load_split`` fills one preallocated array per split, and a clip whose
+shape differs from the first clip's is a ``FormatError`` naming it.
 """
 
 from __future__ import annotations
@@ -217,24 +220,34 @@ def run_synth(config, workdir):
 
 
 def load_split(workdir, split, n_classes):
-    """Read one split of a synthesized dataset back into arrays."""
+    """Read one split of a synthesized dataset back into arrays.
+
+    Every clip's features and video must have the shape and dtype of the
+    split's first clip; a clip that differs is a ``FormatError`` naming it.
+    """
     workdir = Path(workdir)
     records = [r for r in read_manifest(workdir / "manifest.jsonl") if r.split == split]
     if not records:
         raise ValidationError(f"manifest has no {split!r} split")
-    feats, video, labels = [], [], []
-    for rec in records:
+    arrays = {"features": None, "video": None}
+    labels = np.zeros((len(records), n_classes))
+    for k, rec in enumerate(records):
         for c in rec.labels:
             if not 0 <= c < n_classes:
                 raise ValidationError(f"clip {rec.id!r} has label {c}, outside the "
                                       f"{n_classes} configured classes")
-        feats.append(read_feature_file(workdir / rec.features))
-        video.append(read_feature_file(workdir / rec.video))
-        row = np.zeros(n_classes)
-        row[rec.labels] = 1.0
-        labels.append(row)
+        for what, out in arrays.items():
+            arr = read_feature_file(workdir / getattr(rec, what))
+            if out is None:
+                out = arrays[what] = np.empty((len(records),) + arr.shape, arr.dtype)
+            if arr.shape != out.shape[1:] or arr.dtype != out.dtype:
+                raise FormatError(
+                    f"clip {rec.id!r}: {what} are {arr.dtype} {arr.shape}, the "
+                    f"{split} split's first clip's are {out.dtype} {out.shape[1:]}")
+            out[k] = arr
+        labels[k, rec.labels] = 1.0
     names = _class_names(workdir, n_classes)
-    return ArrayDataset(np.stack(feats), np.stack(video), np.stack(labels),
+    return ArrayDataset(arrays["features"], arrays["video"], labels,
                         [r.id for r in records], names)
 
 

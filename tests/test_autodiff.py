@@ -144,7 +144,7 @@ class TestPool2d:
         def loss(a):
             return ad.reduce_sum(ad.mul(ad.pool2d(a, (2, 3)), w))
 
-        # d loss / d pool2d = w: each slice's backward starts from its rows of w
+        # d loss / d pool2d = w: each chunk's backward starts from its rows of w
         _, (grad,) = on_slices(lambda a: ad.pool2d(a, (2, 3)), w, [x])
         windows = x.reshape(3, 2, 2, 2, 2, 3).transpose(0, 1, 2, 4, 3, 5).reshape(3, 2, 2, 2, 6)
         assert np.any((windows == windows.max(axis=-1, keepdims=True)).sum(axis=-1) > 1)
@@ -170,13 +170,15 @@ class TestPool2d:
 
 
 def use_op_threads(monkeypatch, n):
+    """``n`` op threads and 2-row chunks, so small batches run many chunks."""
     monkeypatch.setattr(ad, "_OP_THREADS", n)
+    monkeypatch.setattr(ad, "_CHUNK", 2)
     monkeypatch.setattr(ad, "_executor", None)
 
 
 def on_slices(op, seed, batched, shared=()):
     """``op(*batched, *shared)`` and the gradients w.r.t. its inputs, with
-    each op thread running one batch slice of the ``batched`` arrays on
+    each batch chunk of the ``batched`` arrays run on an op thread and
     its own tape, its backward pass started from its rows of ``seed``.
     The ``shared`` arrays' gradients are summed over the batch."""
     split = ad.BatchSplit(len(seed))
@@ -199,7 +201,7 @@ def on_slices(op, seed, batched, shared=()):
 def _block_tail(fused, x, b, window, w):
     """Output, x gradient and b gradient of ``sum(w * tail(x, b))``, where the
     tail is ``add_relu_pool`` or the add -> relu -> max-pool chain it fuses,
-    each batch slice on its own op thread: a bias's gradient is summed over
+    each batch chunk on an op thread: a bias's gradient is summed over
     the batch, a residual branch's is taken per clip."""
     def chain(xt, bt):
         out = ad.relu(ad.add(xt, bt))

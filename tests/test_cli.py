@@ -16,7 +16,7 @@ from avrobust import models as M
 from avrobust import pipeline
 from avrobust.cli import keep_heap_mapped, main
 from avrobust.config import parse_config
-from avrobust.container import read_feature_file
+from avrobust.container import read_feature_file, write_feature_file
 from avrobust.errors import ValidationError
 from avrobust.metrics import EvalReport, compute_report
 
@@ -371,6 +371,23 @@ class TestCorruptDatasetFiles:
                      str(workdir)]) == 3
         err = capsys.readouterr().err
         assert "i/o error:" in err and "classes.json" in err and named in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("what", ["features", "video"])
+    @pytest.mark.parametrize("command", ["eval", "train", "attack"])
+    def test_clip_of_another_shape_is_io_error(self, micro_copy, capsys, what, command):
+        _, workdir = micro_copy
+        split = "eval" if command == "eval" else "train"
+        records = [json.loads(line) for line in
+                   (workdir / "manifest.jsonl").read_text().splitlines()]
+        record = [r for r in records if r["split"] == split][1]
+        path = workdir / record[what]
+        arr = read_feature_file(path)
+        write_feature_file(path, arr[:-4] if what == "features" else arr[..., :-1])
+        assert main([command, "--config", str(workdir / "config.ini"), "--workdir",
+                     str(workdir), "--out", str(workdir / "out.bin")]) == 3
+        err = capsys.readouterr().err
+        assert "i/o error:" in err and repr(record["id"]) in err and what in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("label", [99, -1], ids=["too-large", "negative"])

@@ -1,13 +1,15 @@
-"""Each op thread runs one batch slice's forward and backward pass, exactly.
+"""Each op thread runs its batch chunks' forward and backward passes, exactly.
 
-Batches of 5 and 7 do not divide evenly over 2 or 3 threads, a batch of
-1 cannot split at all, and a 2-D input is a single clip.
+Batches of 5 and 7 do not divide evenly into chunks of 2 or 3 rows or
+over 2 or 3 threads, a batch of 1 cannot split at all, and a 2-D input
+is a single clip.
 """
 
 import os
 import signal
 import sys
 import time
+import tracemalloc
 import traceback
 import weakref
 from concurrent.futures import Future
@@ -40,8 +42,10 @@ def toy_data(n, seed=0):
     return audio, video, labels
 
 
-def use_op_threads(monkeypatch, n):
+def use_op_threads(monkeypatch, n, chunk=2):
+    """``n`` op threads and chunks of ``chunk`` rows, so small batches run many chunks."""
     monkeypatch.setattr(ad, "_OP_THREADS", n)
+    monkeypatch.setattr(ad, "_CHUNK", chunk)
     monkeypatch.setattr(ad, "_executor", None)
 
 
@@ -69,15 +73,49 @@ def train_and_probe(kind):
 @pytest.mark.parametrize("kind", ["audio_only", "early", "mid1", "mid2", "late", "resnet"])
 def test_training_and_gradients_identical_at_any_op_thread_count(monkeypatch, kind):
     runs = {}
-    for threads in (1, 2, 3):
-        use_op_threads(monkeypatch, threads)
-        runs[threads] = train_and_probe(kind)
-        # one thread never starts the pool; more threads do
-        assert (ad._executor is None) == (threads == 1)
-    for threads in (2, 3):
-        assert runs[threads].keys() == runs[1].keys()
-        for name in runs[1]:
-            assert runs[threads][name] == runs[1][name], (threads, name)
+    for chunk in (1, 2, 3, ad._CHUNK):
+        for threads in (1, 2, 3):
+            use_op_threads(monkeypatch, threads, chunk)
+            runs[chunk, threads] = train_and_probe(kind)
+            # one thread never starts the pool; more threads do
+            assert (ad._executor is None) == (threads == 1)
+    expected = runs.pop((1, 1))
+    for key, run in runs.items():
+        assert run.keys() == expected.keys()
+        for name in expected:
+            assert run[name] == expected[name], (key, name)
+
+
+def test_batch_split_chunks(monkeypatch):
+    use_op_threads(monkeypatch, 2, chunk=3)
+    sizes = {n: [len(range(n)[rows]) for rows in ad.BatchSplit(n).rows] for n in (1, 2, 7, 13)}
+    # the fewest chunks of at most 3 rows that the 2 threads share equally
+    assert sizes == {1: [1], 2: [1, 1], 7: [1, 2, 2, 2], 13: [2, 2, 2, 2, 2, 3]}
+    use_op_threads(monkeypatch, 1, chunk=3)
+    assert ad.BatchSplit(3).rows == [slice(None)]       # one chunk: an unsplit call
+    assert len(ad.BatchSplit(7).rows) == 3
+
+
+def traced_step_peak(monkeypatch, chunk):
+    """Peak traced bytes of one B=8 training step at one op thread."""
+    use_op_threads(monkeypatch, 1, chunk)
+    rng = np.random.default_rng(0)
+    audio = rng.standard_normal((8, 100, 64))
+    labels = (rng.random((8, 10)) < 0.3).astype(np.float64)
+    model = M.CsnModel(M.CsnConfig(), seed=0)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        model.loss_and_param_grads(audio, None, labels)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_chunks_bound_a_steps_memory(monkeypatch):
+    """Each chunk's tape is freed before the next chunk runs, so 2-row
+    chunks hold a quarter of a one-chunk step's activations."""
+    assert traced_step_peak(monkeypatch, 2) < traced_step_peak(monkeypatch, 8) / 2
 
 
 def run_in_child(fn, timeout=120.0):
@@ -160,7 +198,7 @@ class KeepingExecutor:
 
 
 def test_op_threads_keep_no_array_past_a_split(monkeypatch):
-    # a slice's arrays are freed in the calling thread, in program order,
+    # a chunk's arrays are freed in the calling thread, in program order,
     # however long an op thread holds on to the job it ran
     use_op_threads(monkeypatch, 3)
     monkeypatch.setattr(ad, "_executor", KeepingExecutor())
@@ -183,24 +221,28 @@ class SliceFailure(Exception):
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
 def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
-    """One slice raises while the others wait for it: at the whole-batch
-    product of ResNet's head (forward) or at a gradient fold (backward).
-    The caller gets the slice's own exception, and the op threads are
-    free for the next batch."""
+    """One chunk raises while others wait for it at a gradient fold: chunk 1
+    in its forward pass, while chunk 2 waits for it in its backward pass, or
+    chunk 0 in its backward pass.  The caller gets the chunk's own
+    exception, and the op threads are free for the next batch."""
     use_op_threads(monkeypatch, 3)
     audio, _, labels = toy_data(7)
     model = toy_model("resnet")
     expected = model.predict_proba(audio)
     forward, backward = model.forward, ad.backward
 
+    def chunk_index():
+        return None if ad._local.chunk is None else ad._local.chunk[1]
+
     def failing_forward(*args, **kwargs):
-        if ad._local.slice is not None and ad._local.slice[1] == 1:
-            raise SliceFailure("slice 1 forward")
+        if chunk_index() == 1:
+            time.sleep(0.2)         # chunk 2, on the next thread, reaches its first fold
+            raise SliceFailure("chunk 1 forward")
         return forward(*args, **kwargs)
 
     def failing_backward(*args, **kwargs):
-        if ad._local.slice is not None and ad._local.slice[1] == 0:
-            raise SliceFailure("slice 0 backward")
+        if chunk_index() == 0:
+            raise SliceFailure("chunk 0 backward")
         return backward(*args, **kwargs)
 
     def child():
@@ -217,16 +259,16 @@ def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
 
 
 def test_slices_that_fold_out_of_step_raise(monkeypatch):
-    """A slice that waits for a partial sum its predecessor never posts
+    """A chunk that waits for a partial sum its predecessor never posts
     raises once the predecessor has finished, rather than wait forever."""
     use_op_threads(monkeypatch, 2)
     split = ad.BatchSplit(4)
 
-    def fold_in_slice_1_only(i):
+    def fold_in_chunk_1_only(i):
         return ad._batch_sum(np.ones((2, 3))) if i == 1 else None
 
     def child():
         with pytest.raises(StateError, match="different exchanges"):
-            split.run(fold_in_slice_1_only)
+            split.run(fold_in_chunk_1_only)
 
     assert run_in_child(child, timeout=60.0) == 0

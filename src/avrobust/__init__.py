@@ -10,7 +10,6 @@ from .attacks import (
     AttackConfig,
     Mask,
     Perturbation,
-    apply_perturbation,
     normalize_gradient,
     pgd_step,
     project,

@@ -31,7 +31,7 @@ from .errors import ConfigurationError, DimensionError, FormatError, ValidationE
 __all__ = [
     "NORMS", "project", "normalize_gradient",
     "Mask", "AttackConfig", "Perturbation",
-    "pgd_step", "train_universal_perturbation", "apply_perturbation",
+    "pgd_step", "train_universal_perturbation",
     "save_perturbation", "load_perturbation",
 ]
 
@@ -265,18 +265,6 @@ def train_universal_perturbation(model, audio, labels, cfg, video=None,
     prov = {"manifest_hash": provenance or _data_digest(audio, labels),
             "steps_run": steps, "seed": cfg.seed}
     return Perturbation(delta=delta, config=cfg, provenance=prov).validate()
-
-
-def apply_perturbation(features, perturbation):
-    """Elementwise sum, no clipping: the log-mel domain is unbounded."""
-    delta = getattr(perturbation, "delta", perturbation)
-    features = np.asarray(features, dtype=np.float64)
-    delta = np.asarray(delta, dtype=np.float64)
-    if features.shape[-2:] != delta.shape:
-        raise DimensionError(
-            f"features shape {features.shape} does not match perturbation "
-            f"shape {delta.shape}")
-    return features + delta
 
 
 def save_perturbation(path, perturbation):

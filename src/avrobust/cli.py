@@ -221,7 +221,7 @@ def main(argv=None):
     except ConfigurationError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FileNotFoundError, PermissionError, IsADirectoryError, FormatError) as exc:
+    except (OSError, FormatError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValidationError as exc:

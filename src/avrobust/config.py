@@ -98,6 +98,12 @@ def _none_or_non_negative(v):
         _non_negative(v)
 
 
+def _range(v):
+    # the upper bound is Mask.validate's: only it knows the feature geometry
+    if v is not None and not 0 <= v[0] < v[1]:
+        raise ValueError(f"must satisfy 0 <= lo < hi, got {_fmt_range(v)}")
+
+
 def _choice(*options):
     def check(v):
         if v not in options:
@@ -183,8 +189,8 @@ class AttackSection(_Section):
     eps: float = _key(0.3, _positive)
     alpha: float = _key(0.01, _positive)
     steps: int | None = _key(None, _none_or_non_negative, parse=_parse_optint)
-    freq_mask: tuple | None = _key(None, parse=_parse_range, fmt=_fmt_range)
-    time_mask: tuple | None = _key(None, parse=_parse_range, fmt=_fmt_range)
+    freq_mask: tuple | None = _key(None, _range, parse=_parse_range, fmt=_fmt_range)
+    time_mask: tuple | None = _key(None, _range, parse=_parse_range, fmt=_fmt_range)
     direction: str = _key("ascent", _choice("ascent", "descent"))
     random_start: bool = _key(False)
     batch: int = _key(32, _positive)

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import apply_perturbation
 from .base import check_array, check_binary_targets
 from .container import json_field
 from .errors import ConfigurationError, FormatError, ValidationError
@@ -207,27 +206,20 @@ def compute_report(scores, targets, class_names=None, meta=None):
 
 
 def evaluate(model, audio, labels, video=None, perturbation=None,
-             class_names=None, meta=None, batch_size=64):
+             class_names=None, meta=None):
     """Score an eval split and compute its report.
 
-    ``perturbation`` may be a (T,F) array or any object with a
-    ``delta`` attribute; it is added to every clip's features before the
-    forward pass.  Evaluation is deterministic: no dropout, fixed batch
-    order.
+    ``perturbation`` may be a (T,F) array or any object with a ``delta``
+    attribute.  The whole split and the delta go to ``predict_proba`` in
+    one call, which checks the delta's shape, streams the split in chunks
+    and adds the delta to each chunk's clips.  Evaluation is
+    deterministic: no dropout, fixed clip order.
     """
-    # checked as given: the split is converted to float64 one batch at a time
     audio = check_array(audio, "audio features", ndim=3, dtype=None)
     labels = check_binary_targets(labels)
     if labels.shape[0] != audio.shape[0]:
         raise ValidationError("labels row count does not match clip count")
-    scores = np.empty((audio.shape[0], labels.shape[1]))
-    for start in range(0, audio.shape[0], batch_size):
-        stop = min(start + batch_size, audio.shape[0])
-        batch = audio[start:stop]
-        if perturbation is not None:
-            batch = apply_perturbation(batch, perturbation)
-        vid = None if video is None else video[start:stop]
-        scores[start:stop] = model.predict_proba(batch, vid)
+    scores = model.predict_proba(audio, video, delta=getattr(perturbation, "delta", perturbation))
     return compute_report(scores, labels, class_names=class_names, meta=meta)
 
 

@@ -146,15 +146,17 @@ class _ModelBase:
     def parameter_count(self):
         return sum(p.size for p in self.params.values())
 
-    def predict_proba(self, audio, video=None):
+    def predict_proba(self, audio, video=None, delta=None):
         """Forward pass without a tape (inference mode), returns (B,C) probs.
 
-        The batch runs in chunks on the op threads (``autodiff.BatchSplit``).
+        The batch runs in chunks on the op threads (``autodiff.BatchSplit``);
+        a (T,F) ``delta`` is added to each chunk, as ``loss_and_input_grad`` adds it.
         """
         audio, video = _as_array(audio), _as_array(video)
+        delta = _delta_tensor(audio, delta)
         split = _batch_split(audio)
         return np.concatenate(split.run(
-            lambda i: self.forward(*_slice_inputs(audio, video, split.rows[i])).data))
+            lambda i: self.forward(*_slice_inputs(audio, video, split.rows[i], delta)).data))
 
     def loss_and_param_grads(self, audio, video, targets, training=True, seed_base=0):
         targets = check_binary_targets(targets)
@@ -171,20 +173,20 @@ class _ModelBase:
     def loss_and_input_grad(self, audio, targets, video=None, delta=None):
         """Batch-mean loss and its gradient w.r.t. a shared (T,F) delta.
 
-        The delta is broadcast-added to every clip in the batch, so its
-        gradient is the batch-mean input gradient scaled by the loss's
-        own mean reduction.  Video features, when present, are held
-        constant: gradients flow only through the audio input.
+        The delta (zero when None) is added to every clip in the batch, as
+        ``predict_proba`` adds it, so its gradient is the batch-mean input
+        gradient scaled by the loss's own mean reduction.  Video features,
+        when present, are held constant: gradients flow only through the
+        audio input.
         """
         audio, video = _as_array(audio), _as_array(video)
         if delta is None:
             delta = np.zeros(audio.shape[-2:])
-        delta_t = Tensor(np.asarray(delta, dtype=np.float64), requires_grad=True)
+        delta_t = _delta_tensor(audio, delta, requires_grad=True)
         targets = check_binary_targets(targets)
 
         def probs(rows):
-            x, video_rows = _slice_inputs(audio, video, rows)
-            return self.forward(ad.add(x, delta_t), video_rows, training=False)
+            return self.forward(*_slice_inputs(audio, video, rows, delta_t), training=False)
 
         # freeze parameters so backward skips their gradient work entirely
         frozen = [(p, p.requires_grad) for p in self.params.values()]
@@ -208,8 +210,23 @@ def _batch_split(audio):
     return ad.BatchSplit(1 if audio.ndim == 2 else audio.shape[0])
 
 
-def _slice_inputs(audio, video, rows):
-    return Tensor(audio[rows]), None if video is None else Tensor(video[rows])
+def _delta_tensor(audio, delta, requires_grad=False):
+    """A delta of the clips' exact (T,F) shape as a tensor for ``_slice_inputs``."""
+    if delta is None:
+        return None
+    delta = np.asarray(delta, dtype=np.float64)
+    if delta.shape != audio.shape[-2:]:
+        raise DimensionError(f"features shape {audio.shape} does not match "
+                             f"perturbation shape {delta.shape}")
+    return Tensor(delta, requires_grad=requires_grad)
+
+
+def _slice_inputs(audio, video, rows, delta=None):
+    """One chunk's rows as float64 tensors, the audio plus ``delta`` when it is set."""
+    x = Tensor(audio[rows])
+    if delta is not None:
+        x = ad.add(x, delta)
+    return x, None if video is None else Tensor(video[rows])
 
 
 def _loss_and_grads(split, probs_of, targets, wrt):
@@ -496,6 +513,7 @@ def balance_gradients(named_grads):
 
     Returns the post-balancing (audio_norm, video_norm); both equal the
     geometric mean of the raw norms whenever both blocks are nonzero.
+    Returns None, changing nothing, when there is no video block.
     """
     audio, video = _split_modality(named_grads)
     if not video:
@@ -515,22 +533,19 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
                 lr=1e-3, seed=0):
     """Minimize multi-label BCE with a fresh Adam over seeded shuffled batches.
 
-    Fits the model's input normalization first.  For fusion models each
-    modality's parameter-gradient block is rescaled to a common L2 norm
-    before every update.  The loss is logged every 10 steps and at the
-    last one; a non-finite loss stops training with a ``ValidationError``
-    naming its (1-based) step.  Deterministic given (model init, data,
-    seed): shuffling and dropout draw from seeds derived from ``seed`` and
-    the step counter.
+    Fits the model's input normalization first.  A model with video
+    parameters has each modality's parameter-gradient block rescaled to a
+    common L2 norm before every update (``balance_gradients``).  The loss
+    is logged every 10 steps and at the last one; a non-finite loss stops
+    training with a ``ValidationError`` naming its (1-based) step.
+    Deterministic given (model init, data, seed): shuffling and dropout
+    draw from seeds derived from ``seed`` and the step counter.
     """
     audio = np.asarray(audio)
     labels = check_binary_targets(labels)
     n = audio.shape[0]
     if n == 0:
         raise ValidationError("training split is empty")
-    is_fusion = isinstance(model, CsnModel) and model.config.fusion != FusionStage.AUDIO_ONLY
-    if is_fusion and video is None:
-        raise ValidationError("fusion model training requires video features")
     opt = Adam(model.params, lr=lr)
     model.fit_input_norm(audio)
     result = TrainResult(optimizer=opt)
@@ -541,8 +556,9 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
             seed_base=_derive_seed(seed, step + 1))
         if not math.isfinite(loss):
             raise ValidationError(f"training loss is {loss} at step {step + 1} of {steps}")
-        if is_fusion:
-            result.balance_log.append((step, *balance_gradients(grads)))
+        norms = balance_gradients(grads)
+        if norms is not None:
+            result.balance_log.append((step, *norms))
         opt.step(grads)
         if (step + 1) % 10 == 0 or step + 1 == steps:
             result.loss_curve.append((step + 1, loss))
@@ -555,7 +571,8 @@ def train_model(model, audio, labels, video=None, *, steps=200, batch_size=32,
 
 
 _CKPT_MAGIC = b"AVCK"
-_CKPT_VERSION = 1
+# stored kind -> (config class, model class)
+_CKPT_KINDS = {"csn": (CsnConfig, CsnModel), "resnet": (ResnetConfig, ResnetModel)}
 
 
 def save_checkpoint(path, model, optimizer=None, step=0, rng_state=None):
@@ -566,11 +583,8 @@ def save_checkpoint(path, model, optimizer=None, step=0, rng_state=None):
     optimizer}, then concatenated float64 AVFB blocks at the recorded
     offsets (relative to the end of the JSON).
     """
-    if isinstance(model, CsnModel):
-        kind = "csn"
-    elif isinstance(model, ResnetModel):
-        kind = "resnet"
-    else:
+    kind = next((k for k, (_, cls) in _CKPT_KINDS.items() if isinstance(model, cls)), None)
+    if kind is None:
         raise ValidationError(f"cannot checkpoint model of type {type(model).__name__}")
     arrays = {name: p.data for name, p in model.params.items()}
     opt_meta = None
@@ -618,12 +632,9 @@ def load_checkpoint(path):
     source = f"checkpoint index of {path}"
     kind = json_field(index, "kind", source)
     config = json_field(index, "config", source, dict)
-    if kind == "csn":
-        config_cls, model_cls = CsnConfig, CsnModel
-    elif kind == "resnet":
-        config_cls, model_cls = ResnetConfig, ResnetModel
-    else:
+    if kind not in _CKPT_KINDS:
         raise FormatError(f"unknown checkpoint kind {kind!r}")
+    config_cls, model_cls = _CKPT_KINDS[kind]
     names = {f.name for f in fields(config_cls)}
     try:
         if config.keys() != names:

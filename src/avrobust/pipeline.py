@@ -27,12 +27,16 @@ in this process.  With one CPU or one job the jobs run here, one after
 another, and write the same bytes.
 
 In this process the op threads carry the parallelism: the model entry
-points cut each batch into chunks of a few rows, and each op thread runs
-its chunks' forward and backward passes, one chunk at a time and each
-on its own tape (``autodiff.BatchSplit``), byte-identical at any chunk
-size and op-thread count; ``cli.main`` pins BLAS to one thread.
-``load_split`` fills one preallocated array per split, and a clip whose
-shape differs from the first clip's is a ``FormatError`` naming it.
+points, the one path from a split into the model, cut each batch into
+chunks of a few rows, and each op thread runs its chunks' forward and
+backward passes, one chunk at a time and each on its own tape
+(``autodiff.BatchSplit``), byte-identical at any chunk size and
+op-thread count; ``cli.main`` pins BLAS to one thread.  The entry points
+get the split's video whatever the model, and they check the universal
+delta and add it to each chunk; evaluation passes ``predict_proba`` the
+whole split in one call.  ``load_split`` fills one preallocated array
+per split, and a clip whose shape differs from the first clip's is a
+``FormatError`` naming it.
 """
 
 from __future__ import annotations
@@ -285,10 +289,6 @@ def build_model(config, n_mels, n_classes):
     return M.CsnModel(cfg, seed=t.seed)
 
 
-def _needs_video(config):
-    return config.model.arch == "csn" and config.model.fusion != "audio_only"
-
-
 def train_in_memory(config, train_data):
     """Build and train a model on an in-memory split; returns (model, result).
 
@@ -297,8 +297,7 @@ def train_in_memory(config, train_data):
     t = config.train
     model = build_model(config, train_data.audio.shape[2], train_data.labels.shape[1])
     steps = t.epochs * max(1, math.ceil(train_data.audio.shape[0] / t.batch))
-    video = train_data.video if _needs_video(config) else None
-    result = M.train_model(model, train_data.audio, train_data.labels, video=video,
+    result = M.train_model(model, train_data.audio, train_data.labels, video=train_data.video,
                            steps=steps, batch_size=t.batch, lr=t.lr, seed=t.seed)
     return model, result
 
@@ -333,10 +332,9 @@ def run_attack(config, workdir, checkpoint, out=None):
     workdir = Path(workdir)
     model, _, _ = M.load_checkpoint(checkpoint)
     train_data = load_split(workdir, "train", config.dataset.classes)
-    video = train_data.video if _needs_video(config) else None
     pert = atk.train_universal_perturbation(
-        model, train_data.audio, train_data.labels, attack_config_from(config), video=video,
-        provenance=file_sha256(workdir / "manifest.jsonl"))
+        model, train_data.audio, train_data.labels, attack_config_from(config),
+        video=train_data.video, provenance=file_sha256(workdir / "manifest.jsonl"))
     out_path = Path(out) if out else workdir / "delta.avfb"
     atk.save_perturbation(out_path, pert)
     return out_path
@@ -354,8 +352,7 @@ def run_eval(config, workdir, checkpoint, perturbation=None, out=None):
         pert_id = file_sha256(perturbation)
     meta = {"checkpoint": file_sha256(checkpoint), "perturbation": pert_id,
             "seed": config.train.seed}
-    video = eval_data.video if _needs_video(config) else None
-    report = mx.evaluate(model, eval_data.audio, eval_data.labels, video=video,
+    report = mx.evaluate(model, eval_data.audio, eval_data.labels, video=eval_data.video,
                          perturbation=pert, class_names=eval_data.class_names,
                          meta=meta)
     out_path = Path(out) if out else workdir / (

@@ -145,6 +145,13 @@ class TestExitCodes:
     def test_missing_config_file_is_io_error(self):
         assert main(["synth", "--config", "/nonexistent/config.ini"]) == 3
 
+    @pytest.mark.parametrize("workdir", ["file", "file/sub"])
+    def test_workdir_under_a_file_is_io_error(self, tmp_path, capsys, workdir):
+        # FileExistsError and NotADirectoryError: every OSError is an i/o error
+        (tmp_path / "file").write_text("")
+        assert main(["synth", "--workdir", str(tmp_path / workdir)]) == 3
+        assert "i/o error:" in capsys.readouterr().err
+
     def test_bad_config_value_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[attack]\neps = -1\n")
@@ -193,9 +200,14 @@ class TestExitCodes:
         (["sweep", "--axis", "fusion", "--eps-list", "-1"], None, "attack.eps"),
         (["train"], ("conv_channels = 2,3", "conv_channels = 0,3"), "model.conv_channels"),
         (["attack"], ("batch = 8\nseed = 0", "batch = 8\nseed = -1"), "attack.seed"),
+        (["attack", "--freq-mask", "9:2"], None, "attack.freq_mask"),
+        (["attack", "--time-mask=-5:3"], None, "attack.time_mask"),
+        (["sweep", "--axis", "freq", "--masks", "0:4,9:2"], None, "attack.freq_mask"),
+        (["attack"], ("steps = 4", "steps = 4\nfreq_mask = -5:3"), "attack.freq_mask"),
     ], ids=["eps", "eps-list", "ini-eps", "alpha", "sweep-alpha-zero",
             "sweep-steps-negative", "seed-negative", "fusions", "arches", "fusion-eps-list",
-            "ini-conv-channels", "ini-attack-seed"])
+            "ini-conv-channels", "ini-attack-seed", "freq-mask-reversed",
+            "time-mask-negative", "sweep-masks-reversed", "ini-freq-mask-negative"])
     def test_nan_eps_or_alpha_is_config_error(self, micro_copy, tmp_path, capsys, argv,
                                               ini_edit, key):
         """A bad key exits 2 naming it, from a file, a flag or a sweep cell, before any work."""

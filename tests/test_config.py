@@ -68,6 +68,17 @@ def test_mask_parsing():
     assert config.attack.time_mask is None
 
 
+@pytest.mark.parametrize("key", ["freq_mask", "time_mask"])
+@pytest.mark.parametrize("value", ["9:2", "-5:3", "4:4"])
+def test_bad_mask_range_names_its_key(key, value):
+    # the upper bound needs the feature geometry: Mask.validate checks it
+    with pytest.raises(ConfigFileError, match=rf"line 2: bad value for attack\.{key}"):
+        parse_config(f"[attack]\n{key} = {value}\n")
+    lo, hi = (int(v) for v in value.split(":"))
+    with pytest.raises(ConfigurationError, match=rf"attack\.{key}"):
+        ExperimentConfig().with_overrides(attack={key: (lo, hi)})
+
+
 def test_steps_auto_vs_explicit_zero():
     auto, _ = parse_config("[attack]\nsteps = auto\n")
     assert auto.attack.steps is None

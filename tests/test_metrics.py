@@ -1,11 +1,14 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from avrobust import autodiff as ad
 from avrobust import metrics
-from avrobust.errors import ConfigurationError, ValidationError
+from avrobust import models as M
+from avrobust.errors import ConfigurationError, DimensionError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +231,27 @@ class TestReports:
         assert back.dprime_saturated
 
 
-class _ConstantModel:
-    def __init__(self, scores):
-        self.scores = scores
+class _BinMeanModel(M._ModelBase):
+    """Class c's probability is the sigmoid of bin c's mean over the frames.
 
-    def predict_proba(self, audio, video=None):
-        # score = mean feature value per clip, mapped through a fixed table
-        idx = np.arange(audio.shape[0])
-        return self.scores[:audio.shape[0]] + 0.0 * idx[:, None] + 1e-6 * audio.mean(axis=(1, 2))[:, None]
+    No parameters, but the real entry point: ``predict_proba`` chunks the
+    split and checks and adds the delta before this forward pass sees it.
+    """
+
+    params = {}
+
+    def forward(self, audio, video=None, training=False, seed_base=0):
+        return ad.sigmoid(ad.reduce_mean(audio, axis=-2))
 
 
 class TestEvaluate:
     def setup_method(self):
         rng = np.random.default_rng(5)
-        self.audio = rng.standard_normal((10, 8, 4))
+        self.audio = rng.standard_normal((10, 8, 3))
         self.labels = (rng.random((10, 3)) < 0.4).astype(float)
         self.labels[0] = 1.0
         self.labels[1] = 0.0
-        self.model = _ConstantModel(rng.random((10, 3)))
+        self.model = _BinMeanModel()
 
     def test_deterministic(self):
         r1 = metrics.evaluate(self.model, self.audio, self.labels)
@@ -255,13 +261,28 @@ class TestEvaluate:
     def test_zero_perturbation_identity(self):
         clean = metrics.evaluate(self.model, self.audio, self.labels)
         attacked = metrics.evaluate(self.model, self.audio, self.labels,
-                                    perturbation=np.zeros((8, 4)))
+                                    perturbation=np.zeros((8, 3)))
         assert clean == attacked
 
+    def test_whole_split_and_delta_go_to_predict_proba_once(self, monkeypatch):
+        calls, predict = [], self.model.predict_proba
+
+        def spy(audio, video=None, delta=None):
+            calls.append((audio, video, delta))
+            return predict(audio, video, delta=delta)
+
+        monkeypatch.setattr(self.model, "predict_proba", spy)
+        pert = SimpleNamespace(delta=np.full((8, 3), 0.5))
+        report = metrics.evaluate(self.model, self.audio, self.labels, perturbation=pert)
+        assert len(calls) == 1
+        assert calls[0][0] is self.audio and calls[0][2] is pert.delta
+        shifted = metrics.evaluate(self.model, self.audio + 0.5, self.labels)
+        assert report == shifted
+
     def test_geometry_mismatch(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(DimensionError, match="perturbation shape"):
             metrics.evaluate(self.model, self.audio, self.labels,
-                             perturbation=np.zeros((9, 4)))
+                             perturbation=np.zeros((9, 3)))
 
     def test_empty_split(self):
         with pytest.raises(ValidationError):

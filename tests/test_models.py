@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from avrobust import attacks as atk
 from avrobust import autodiff as ad
 from avrobust import models as M
 from avrobust.autodiff import Tensor
@@ -14,6 +15,7 @@ from avrobust.errors import (
     FormatError,
     ValidationError,
 )
+from avrobust.metrics import evaluate
 
 from gradcheck import finite_difference
 
@@ -234,6 +236,53 @@ class TestModelForward:
             assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
+class _InputEcho(M._ModelBase):
+    """Returns each clip's input as its scores, so a test reads exactly
+    what the entry points feed the forward pass."""
+
+    params = {}
+
+    def forward(self, audio, video=None, training=False, seed_base=0):
+        return ad.reshape(audio, (audio.shape[0], -1))
+
+
+class TestDeltaPath:
+    """The one place a delta is checked and added to a batch."""
+
+    def test_delta_is_added_exactly(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 8, 16))
+        delta = rng.standard_normal((8, 16)) * 0.1
+
+        def seen(clips, d):
+            return _InputEcho().predict_proba(clips, delta=d).reshape(clips.shape)
+
+        np.testing.assert_array_equal(seen(x, np.zeros((8, 16))), x)
+        # exact on dyadic values, far outside the features' range: no clipping or rounding
+        x_dyadic = np.round(x * 8.0) / 8.0
+        d_dyadic = np.round(delta * 8.0) / 8.0 * 1e3
+        np.testing.assert_array_equal(seen(x_dyadic, d_dyadic) - x_dyadic,
+                                      np.broadcast_to(d_dyadic, x.shape))
+        np.testing.assert_allclose(seen(x, delta) - x, np.broadcast_to(delta, x.shape),
+                                   atol=1e-15)
+        masked = delta * atk.Mask(freq=(0, 8)).array((8, 16))
+        np.testing.assert_array_equal(seen(x, masked)[:, :, 8:], x[:, :, 8:])
+
+    @pytest.mark.parametrize("shape", [(9, 16), (16,), (1, 16)], ids=["9xF", "F", "1xF"])
+    @pytest.mark.parametrize("entry", ["predict_proba", "loss_and_input_grad", "evaluate"])
+    def test_mismatched_delta_is_a_dimension_error(self, entry, shape):
+        # (16,) and (1,16) would broadcast onto every frame; (9,16) onto nothing
+        model = M.CsnModel(toy_config(), seed=16)
+        audio, _, labels = toy_inputs(batch=3)
+        delta = np.zeros(shape)
+        call = {"predict_proba": lambda: model.predict_proba(audio, delta=delta),
+                "loss_and_input_grad": lambda: model.loss_and_input_grad(audio, labels,
+                                                                         delta=delta),
+                "evaluate": lambda: evaluate(model, audio, labels, perturbation=delta)}
+        with pytest.raises(DimensionError, match="perturbation shape"):
+            call[entry]()
+
+
 class TestResnet:
     def test_zeroed_residual_branches_reduce_to_stem(self):
         cfg = M.ResnetConfig(stem_channels=4, blocks=2, pool_time=(2, 2, 1),
@@ -433,4 +482,14 @@ class TestCheckpoint:
         path.write_bytes(raw[:4] + struct.pack("<I", len(payload)) + payload
                          + raw[8 + json_len:])
         with pytest.raises(FormatError, match="pool"):
+            M.load_checkpoint(path)
+
+    def test_unknown_model_type_and_stored_kind(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot checkpoint model of type"):
+            M.save_checkpoint(tmp_path / "echo.ckpt", _InputEcho())
+        path = tmp_path / "model.ckpt"
+        M.save_checkpoint(path, M.CsnModel(toy_config(), seed=35))
+        raw = path.read_bytes()
+        path.write_bytes(raw.replace(b'"kind": "csn"', b'"kind": "vgg"', 1))
+        with pytest.raises(FormatError, match="unknown checkpoint kind 'vgg'"):
             M.load_checkpoint(path)

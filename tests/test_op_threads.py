@@ -59,6 +59,7 @@ def train_and_probe(kind):
     out = {f"param {k}": p.data.tobytes() for k, p in model.params.items()}
     out.update({f"adam {k}": v.tobytes() for k, v in result.optimizer.state_arrays().items()})
     out["loss curve"] = repr(result.loss_curve).encode()
+    delta = np.random.default_rng(1).standard_normal(audio.shape[1:]) * 0.1
     for n in (7, 5, 1, "one clip"):
         rows = slice(0, 1) if n == "one clip" else slice(0, n)
         clips = audio[0] if n == "one clip" else audio[rows]     # (T,F) or (B,T,F)
@@ -67,6 +68,9 @@ def train_and_probe(kind):
                                                delta=np.full(audio.shape[1:], 0.01))
         out[f"input grad {n}"] = repr(loss).encode() + grad.tobytes()
         out[f"probs {n}"] = model.predict_proba(clips, v).tobytes()
+        # the delta each chunk adds is the delta added to the whole batch
+        out[f"attacked probs {n}"] = model.predict_proba(clips, v, delta=delta).tobytes()
+        assert out[f"attacked probs {n}"] == model.predict_proba(clips + delta, v).tobytes()
     return out
 
 

@@ -20,12 +20,15 @@ chunks of at most ``_CHUNK`` rows and deals them out to one op thread
 per usable CPU; the model entry points run each chunk's whole forward
 pass and then its backward pass on its own tape before the thread takes
 its next chunk (numpy releases the GIL inside its kernels), so a step
-holds the arrays of one chunk per thread, not of the whole batch.  The
-two ops that mix rows of the batch (a gradient's sum over the batch,
-and dropout's mask) see the chunk and compute exactly its rows of an
-unsplit call; every product runs per clip.  So results are
-byte-identical at any chunk size and op-thread count.  The forked
-workers of ``pipeline._map_on_workers`` run with one op thread.
+holds the arrays of one chunk per thread, not of the whole batch.  Each
+chunk's backward pass returns its own gradients, and the caller adds
+them in chunk order after the join.  Every product runs per clip, and
+dropout takes the chunk's rows of the whole batch's mask, so a chunk's
+outputs are exactly its rows of an unsplit call.  The chunk boundaries
+depend only on the batch size and ``_CHUNK``, so results are
+byte-identical at any op-thread count, in this process and in the
+forked workers of ``pipeline._map_on_workers`` (which run with one op
+thread); a gradient's bytes change with ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class Tensor:
     own guards).
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "node")
+    __slots__ = ("data", "requires_grad", "node")
 
     def __init__(self, data, requires_grad=False):
         arr = np.asarray(data, dtype=np.float64)
@@ -68,7 +71,6 @@ class Tensor:
             raise ValidationError("tensor data contains NaN or Inf")
         self.data = arr
         self.requires_grad = bool(requires_grad)
-        self.grad = None
         self.node = None        # the tape node that made this tensor
 
     @classmethod
@@ -76,7 +78,6 @@ class Tensor:
         t = cls.__new__(cls)
         t.data = arr
         t.requires_grad = requires_grad
-        t.grad = None
         t.node = None
         return t
 
@@ -114,7 +115,7 @@ class _Node:
 class _ThreadState(threading.local):
     def __init__(self):
         self.tapes = []         # this thread's active tapes, innermost last
-        self.chunk = None       # (split, index) while this thread runs a batch chunk
+        self.chunk = None       # the first row of the batch chunk this thread runs
 
 
 _local = _ThreadState()
@@ -170,10 +171,9 @@ def backward(output, params=None, *, tape, grad=None):
     ``output`` is a scalar loss, or any tensor when ``grad`` gives its
     gradient (an array of its shape) to start from.  Returns a dict
     mapping each requires_grad tensor that the tape reached but no node
-    made (a parameter, an input) to its gradient array (also mirrored on
-    ``tensor.grad``).  When ``params`` is given,
-    every listed tensor is guaranteed a key, with an all-zero gradient if
-    the output does not depend on it.
+    made (a parameter, an input) to its gradient array.  When ``params``
+    is given, every listed tensor is guaranteed a key, with an all-zero
+    gradient if the output does not depend on it.
     """
     if tape.consumed:
         raise StateError("tape already consumed by a previous backward pass")
@@ -200,16 +200,10 @@ def backward(output, params=None, *, tape, grad=None):
             else:
                 grads[parent] = g_in
 
-    result = {}
-    for t, g in grads.items():
-        if isinstance(t, Tensor) and t.requires_grad:
-            t.grad = g
-            result[t] = g
-    if params is not None:
-        for p in params:
-            if p not in result:
-                p.grad = np.zeros_like(p.data)
-                result[p] = p.grad
+    result = {t: g for t, g in grads.items() if isinstance(t, Tensor) and t.requires_grad}
+    for p in params or ():
+        if p not in result:
+            result[p] = np.zeros_like(p.data)
     return result
 
 
@@ -231,154 +225,87 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_executor)
 
 
-class _ChunkAborted(Exception):
-    """Raised in a chunk that waits on another chunk which failed."""
-
-
 class BatchSplit:
     """A batch of ``n`` rows in contiguous chunks of at most ``_CHUNK`` rows.
 
-    The chunk count is the smallest multiple of the op-thread count ``k``
-    that keeps chunks that small (or ``n``, if fewer), so the threads get
-    equal shares.
+    The chunk count is the smallest even number that keeps chunks that
+    small (or ``n``, if fewer), so two op threads get equal shares.  It
+    does not depend on the op-thread count: the chunk boundaries, and so
+    the order in which a caller adds the chunks' gradients, are the same
+    in every process.
     ``run(fn)`` calls ``fn(i)`` for every chunk ``i`` and returns the
-    results in chunk order: op thread ``t`` runs chunks ``t, t+k, ...`` in
-    order, thread 0 being the calling thread, and finishes each chunk
-    before it takes the next, so a thread holds one chunk's arrays at a
-    time.  An exception in any chunk re-raises in the caller, and no
+    results in chunk order: op thread ``t`` of ``k`` runs chunks ``t, t+k,
+    ...`` in order, thread 0 being the calling thread, and finishes each
+    chunk before it takes the next, so a thread holds one chunk's arrays
+    at a time.  An exception in any chunk re-raises in the caller, and no
     thread starts a chunk after one failed.  ``rows[i]`` indexes chunk
-    ``i``'s rows.  With one chunk (one op thread and at most ``_CHUNK``
-    rows, or a batch of one) ``rows[0]`` takes the whole input and
-    ``fn(0)`` runs as an unsplit call.
+    ``i``'s rows.  A batch of one is one chunk: ``rows[0]`` takes the
+    whole input and ``fn(0)`` runs as an unsplit call.
 
-    While a chunk runs, the two ops that mix rows of the batch see it, so
-    every chunk computes exactly its rows of an unsplit call and the
-    results are byte-identical at any chunk size and op-thread count:
-
-    * a gradient summed over the batch (``_unbroadcast``) is an ordered
-      fold: chunk 0 sums its rows, each later chunk adds its rows in order
-      onto its predecessor's sum, and the last chunk gets the total.
-      numpy's sum over a leading axis is the same left fold.  A chunk
-      waits only on lower chunks, which its own thread has finished or
-      other threads run, so the folds cannot deadlock.
-    * dropout takes the chunk's rows of the whole batch's mask.
-
-    Every chunk must therefore make the same sequence of folds; each
-    tensor derived from the input keeps the batch as its leading axis,
-    and products run per clip (BLAS's result for a row of a 2-D product
-    depends on how many rows the call holds).  Gradients that reach a
-    tensor without the batch axis (a parameter) are complete in the last
-    chunk only; the others see None.
+    The chunks share no state but the failure flag.  Dropout, the one op
+    that mixes rows of the batch in a forward pass, takes the chunk's
+    rows of the whole batch's mask, so every output is exactly its rows
+    of an unsplit call as long as products run per clip (BLAS's result
+    for a row of a 2-D product depends on how many rows the call holds).
+    A gradient that reaches a tensor without the batch axis (a
+    parameter) is the chunk's share of the batch sum.
     """
 
     def __init__(self, n):
-        k = _OP_THREADS
-        m = max(1, min(n, k * -(-n // (k * _CHUNK))))
+        m = max(1, min(n, 2 * -(-n // (2 * _CHUNK))))
         if m == 1:
             self.rows = [slice(None)]
         else:
             bounds = [n * i // m for i in range(m + 1)]
             self.rows = [slice(bounds[i], bounds[i + 1]) for i in range(m)]
-        self.last = m - 1
-        self._threads = min(k, m)
-        self._cond = threading.Condition()
-        self._posts = {}            # (exchange number, chunk) -> posted value
-        self._exchanges = [0] * m   # exchanges each chunk has made so far
-        self._finished = set()      # chunks of the current run that returned or raised
         self._failed = False
 
     def run(self, fn):
         global _executor
-        if self.last == 0:
+        m = len(self.rows)
+        if m == 1:
             return [fn(0)]
-        k = self._threads
+        k = min(_OP_THREADS, m)
         if k > 1 and _executor is None:
             _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
-        self._finished.clear()
-        futures = [_executor.submit(self._run_chunks, [fn], t) for t in range(1, k)]
+        futures = [_executor.submit(self._run_chunks, [fn], t, k) for t in range(1, k)]
         try:
-            outcomes = self._run_chunks([fn], 0)
+            outcomes = self._run_chunks([fn], 0, k)
         finally:
             wait(futures)
         for f in futures:
             outcomes.update(f.result())
-        errors = [exc for ok, exc in outcomes.values() if not ok]
-        if errors:
-            raise next((e for e in errors if not isinstance(e, _ChunkAborted)), errors[0])
-        return [outcomes[i][1] for i in range(self.last + 1)]
+        for i in sorted(outcomes):
+            ok, value = outcomes[i]
+            if not ok:
+                raise value
+        return [outcomes[i][1] for i in range(m)]
 
-    def _run_chunks(self, box, t):
+    def _run_chunks(self, box, t, k):
         # The op thread lets go of ``fn``, and so of the arrays it captures,
         # before its future completes, so the caller frees them, in program
         # order, once it drops its own references.
         fn = box.pop()
         outcomes = {}
         try:
-            for i in range(t, self.last + 1, self._threads):
+            for i in range(t, len(self.rows), k):
                 if self._failed:
                     break
-                outcomes[i] = self._run_chunk(fn, i)
+                _local.chunk = self.rows[i].start
+                try:
+                    outcomes[i] = True, fn(i)
+                except BaseException as exc:     # noqa: BLE001 - re-raised by run()
+                    self._failed = True
+                    outcomes[i] = False, exc
+                finally:
+                    _local.chunk = None
         finally:
             del fn
         return outcomes
 
-    def _run_chunk(self, fn, i):
-        _local.chunk = (self, i)
-        try:
-            return True, fn(i)
-        except BaseException as exc:     # noqa: BLE001 - re-raised by run()
-            with self._cond:
-                self._failed = True
-            return False, exc
-        finally:
-            _local.chunk = None
-            with self._cond:
-                self._finished.add(i)
-                self._cond.notify_all()
-
-
-def _batch_sum(grad):
-    """``grad.sum(axis=0)`` over the batch; in a chunk, the ordered fold of :class:`BatchSplit`.
-
-    Returns None in every chunk but the last.
-    """
-    state = _local.chunk
-    if state is None:
-        return grad.sum(axis=0)
-    split, i = state
-    n = split._exchanges[i]
-    split._exchanges[i] = n + 1
-    if i == 0:
-        total = grad.sum(axis=0)
-    else:
-        with split._cond:
-            while (n, i - 1) not in split._posts:
-                if split._failed:
-                    raise _ChunkAborted("another chunk of the batch failed")
-                if i - 1 in split._finished:
-                    raise StateError("the chunks of a batch made different exchanges")
-                split._cond.wait()
-            total = split._posts.pop((n, i - 1))
-        for row in grad:
-            total += row
-    if i == split.last:
-        return total
-    with split._cond:
-        split._posts[(n, i)] = total
-        split._cond.notify_all()
-    return None
-
 
 def _unbroadcast(grad, shape):
-    """Sum a gradient down to ``shape``, undoing numpy broadcasting.
-
-    The first sum over a leading axis is over the batch; in a batch
-    chunk it is None outside the last chunk.
-    """
-    if grad.ndim > len(shape):
-        grad = _batch_sum(grad)
-        if grad is None:
-            return None
+    """Sum a gradient down to ``shape``, undoing numpy broadcasting."""
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, extent in enumerate(shape):
@@ -816,9 +743,8 @@ def dropout(x, rate, seed, training):
     if not training or rate == 0.0:
         return x
     rng = np.random.default_rng(seed)
-    if _local.chunk is not None:
-        split, i = _local.chunk
-        rng.bit_generator.advance(split.rows[i].start * (x.size // x.shape[0]))
+    if _local.chunk:
+        rng.bit_generator.advance(_local.chunk * (x.size // x.shape[0]))
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(np.float64) / keep
     out = Tensor._wrap(x.data * mask, x.requires_grad)

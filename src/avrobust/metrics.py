@@ -211,11 +211,11 @@ def evaluate(model, audio, labels, video=None, perturbation=None,
 
     ``perturbation`` may be a (T,F) array or any object with a ``delta``
     attribute.  The whole split and the delta go to ``predict_proba`` in
-    one call, which checks the delta's shape, streams the split in chunks
-    and adds the delta to each chunk's clips.  Evaluation is
-    deterministic: no dropout, fixed clip order.
+    one call, which checks the delta's shape, streams the split in chunks,
+    checks that each chunk's clips are finite and adds the delta to them.
+    Evaluation is deterministic: no dropout, fixed clip order.
     """
-    audio = check_array(audio, "audio features", ndim=3, dtype=None)
+    audio = check_array(audio, "audio features", ndim=3, dtype=None, finite=False)
     labels = check_binary_targets(labels)
     if labels.shape[0] != audio.shape[0]:
         raise ValidationError("labels row count does not match clip count")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import check_binary_targets, minibatches
+from .base import check_array, check_binary_targets, minibatches
 from .container import atomic_write_bytes, json_field, tensor_bytes, tensor_from_bytes
 from .errors import (
     ConfigurationError,
@@ -222,11 +222,17 @@ def _delta_tensor(audio, delta, requires_grad=False):
 
 
 def _slice_inputs(audio, video, rows, delta=None):
-    """One chunk's rows as float64 tensors, the audio plus ``delta`` when it is set."""
-    x = Tensor(audio[rows])
+    """One chunk's rows as float64 tensors, the audio plus ``delta`` when it is set.
+
+    A non-finite value in the chunk is a ``ValidationError`` naming the
+    audio or the video features; nothing else checks a split for them.
+    """
+    x = Tensor._wrap(check_array(audio[rows], "audio features"), False)
     if delta is not None:
         x = ad.add(x, delta)
-    return x, None if video is None else Tensor(video[rows])
+    if video is not None:
+        video = Tensor._wrap(check_array(video[rows], "video features"), False)
+    return x, video
 
 
 def _loss_and_grads(split, probs_of, targets, wrt):
@@ -234,9 +240,10 @@ def _loss_and_grads(split, probs_of, targets, wrt):
 
     Each chunk records its forward pass on its own tape and replays it at
     once, from its rows of the loss's gradient w.r.t. the probabilities,
-    so its tape is freed before its op thread takes the next chunk.  The
-    last chunk's backward pass holds the gradients of ``wrt`` over the
-    whole batch, and the loss is taken once, on the whole batch.
+    so its tape is freed before its op thread takes the next chunk.  Each
+    chunk's backward pass returns its share of the gradients of ``wrt``;
+    they are added in chunk order after the join, and the loss is taken
+    once, on the whole batch.
     """
     def chunk(i):
         rows = split.rows[i]
@@ -246,13 +253,15 @@ def _loss_and_grads(split, probs_of, targets, wrt):
         if t.shape != out.shape:
             raise DimensionError(f"targets shape {t.shape} does not match probs shape {out.shape}")
         grad = ad.bce_grad(out.data, t, targets.size)
-        return out.data, ad.backward(out, wrt if i == split.last else None, tape=tape,
-                                     grad=grad)
+        return out.data, ad.backward(out, wrt, tape=tape, grad=grad)
 
     chunks = split.run(chunk)
     # not Tensor(): a non-finite probability must reach the loss, which reports it
     probs = Tensor._wrap(np.concatenate([out for out, _ in chunks]), False)
-    return ad.bce_on_probs(probs, targets).item(), chunks[-1][1]
+    grads = chunks[0][1]
+    for _, more in chunks[1:]:
+        grads = {p: grads[p] + more[p] for p in wrt}
+    return ad.bce_on_probs(probs, targets).item(), grads
 
 
 class CsnModel(_ModelBase):

@@ -180,7 +180,8 @@ def on_slices(op, seed, batched, shared=()):
     """``op(*batched, *shared)`` and the gradients w.r.t. its inputs, with
     each batch chunk of the ``batched`` arrays run on an op thread and
     its own tape, its backward pass started from its rows of ``seed``.
-    The ``shared`` arrays' gradients are summed over the batch."""
+    The ``shared`` arrays' gradients are summed over the batch: each
+    chunk's share, added in chunk order, as the model entry points do."""
     split = ad.BatchSplit(len(seed))
     shared = [ad.Tensor(a, requires_grad=True) for a in shared]
 
@@ -193,9 +194,12 @@ def on_slices(op, seed, batched, shared=()):
         return out.data, [grads[t] for t in sliced], [grads[t] for t in shared]
 
     parts = split.run(run)
+    shared_grads = parts[0][2]
+    for p in parts[1:]:
+        shared_grads = [total + g for total, g in zip(shared_grads, p[2])]
     return (np.concatenate([p[0] for p in parts]),
             [np.concatenate([p[1][k] for p in parts]) for k in range(len(batched))]
-            + parts[-1][2])
+            + shared_grads)
 
 
 def _block_tail(fused, x, b, window, w):

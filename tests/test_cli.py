@@ -236,6 +236,23 @@ class TestExitCodes:
         assert main(["eval", "--config", str(cfg_path), "--perturbation",
                      str(tmp_path / "wrong.avfb")]) == 4
 
+    def test_eval_with_non_finite_features_is_validation_error(self, micro_copy, capsys):
+        """A NaN in one eval clip, in the last chunk of the split, exits 4
+        with the message that names the audio features."""
+        _, workdir = micro_copy
+        manifest = (workdir / "manifest.jsonl").read_text().splitlines()
+        evals = [json.loads(line) for line in manifest if json.loads(line)["split"] == "eval"]
+        path = workdir / evals[-2]["features"]
+        clip = read_feature_file(path)
+        raw = bytearray(path.read_bytes())
+        # the first value of the clip's last frame, in place (the writer refuses NaN)
+        offset = len(raw) - clip.shape[-1] * clip.itemsize
+        raw[offset:offset + 4] = struct.pack("<f", float("nan"))
+        path.write_bytes(bytes(raw))
+        assert main(["eval", "--config", str(workdir / "config.ini"),
+                     "--workdir", str(workdir)]) == 4
+        assert "validation error: audio features contains NaN or Inf" in capsys.readouterr().err
+
     def test_env_workdir_used_when_unset(self, tmp_path, monkeypatch):
         cfg = tmp_path / "c.ini"
         cfg.write_text(MICRO.replace("train_clips = 12", "train_clips = 2")

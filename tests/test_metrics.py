@@ -288,6 +288,16 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             metrics.evaluate(self.model, np.zeros((0, 8, 4)), np.zeros((0, 3)))
 
+    @pytest.mark.parametrize("modality", ["audio", "video"])
+    def test_non_finite_clip_in_the_last_chunk(self, modality):
+        """A split is checked for NaN and Inf one chunk at a time, as the
+        model converts it, and the error names the features."""
+        video = np.zeros((10, 4, 2))
+        assert ad.BatchSplit(10).rows[-1] == slice(5, 10)
+        (self.audio if modality == "audio" else video)[8, 1, 1] = np.nan
+        with pytest.raises(ValidationError, match=f"{modality} features contains NaN or Inf"):
+            metrics.evaluate(self.model, self.audio, self.labels, video=video)
+
 
 class TestCompareReports:
     def _pair(self):

@@ -20,7 +20,6 @@ import pytest
 from avrobust import autodiff as ad
 from avrobust import models as M
 from avrobust import pipeline
-from avrobust.errors import StateError
 
 TOY = dict(conv_channels=(2, 3), pool_time=(2, 2), pool_freq=(2, 2),
            transformer_blocks=1, heads=2, width=8, ff_mult=2, classes=3,
@@ -74,38 +73,74 @@ def train_and_probe(kind):
     return out
 
 
-@pytest.mark.parametrize("kind", ["audio_only", "early", "mid1", "mid2", "late", "resnet"])
+KINDS = ["audio_only", "early", "mid1", "mid2", "late", "resnet"]
+
+
+@pytest.mark.parametrize("kind", KINDS)
 def test_training_and_gradients_identical_at_any_op_thread_count(monkeypatch, kind):
-    runs = {}
     for chunk in (1, 2, 3, ad._CHUNK):
+        runs = {}
         for threads in (1, 2, 3):
             use_op_threads(monkeypatch, threads, chunk)
-            runs[chunk, threads] = train_and_probe(kind)
+            runs[threads] = train_and_probe(kind)
             # one thread never starts the pool; more threads do
             assert (ad._executor is None) == (threads == 1)
-    expected = runs.pop((1, 1))
-    for key, run in runs.items():
-        assert run.keys() == expected.keys()
-        for name in expected:
-            assert run[name] == expected[name], (key, name)
+        expected = runs.pop(1)
+        for threads, run in runs.items():
+            assert run.keys() == expected.keys()
+            for name in expected:
+                assert run[name] == expected[name], (chunk, threads, name)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_chunk_size_moves_only_gradient_sums(monkeypatch, kind):
+    """Every output is exactly its rows of an unsplit call, dropout included,
+    whatever the chunk size; only the order of a gradient's batch sum moves."""
+    audio, video, labels = toy_data(11)
+    video = None if kind == "resnet" else video
+    model = toy_model(kind)
+    runs = []
+    for chunk in (1, 2, 3, ad._CHUNK):
+        use_op_threads(monkeypatch, 2, chunk)
+        loss, grads = model.loss_and_param_grads(audio, video, labels, seed_base=5)
+        input_loss, input_grad = model.loss_and_input_grad(audio, labels, video=video)
+        runs.append((repr((loss, input_loss)), model.predict_proba(audio, video).tobytes(),
+                     grads, input_grad))
+    for forward, probs, grads, input_grad in runs[1:]:
+        assert (forward, probs) == runs[0][:2]
+        for name, g in grads.items():
+            np.testing.assert_allclose(g, runs[0][2][name], rtol=1e-12, atol=1e-15)
+        np.testing.assert_allclose(input_grad, runs[0][3], rtol=1e-12, atol=1e-15)
 
 
 def test_batch_split_chunks(monkeypatch):
     use_op_threads(monkeypatch, 2, chunk=3)
     sizes = {n: [len(range(n)[rows]) for rows in ad.BatchSplit(n).rows] for n in (1, 2, 7, 13)}
-    # the fewest chunks of at most 3 rows that the 2 threads share equally
+    # the fewest chunks of at most 3 rows, an even count so 2 threads share them equally
     assert sizes == {1: [1], 2: [1, 1], 7: [1, 2, 2, 2], 13: [2, 2, 2, 2, 2, 3]}
+    assert ad.BatchSplit(1).rows == [slice(None)]       # one chunk: an unsplit call
     use_op_threads(monkeypatch, 1, chunk=3)
-    assert ad.BatchSplit(3).rows == [slice(None)]       # one chunk: an unsplit call
-    assert len(ad.BatchSplit(7).rows) == 3
+    assert ad.BatchSplit(3).rows == [slice(0, 1), slice(1, 3)]
+    assert len(ad.BatchSplit(7).rows) == 4
+
+
+@pytest.mark.parametrize("chunk", [2, 3, 8])
+def test_batch_split_ignores_the_op_thread_count(monkeypatch, chunk):
+    """The chunk boundaries, and so the order of a gradient's chunk sum,
+    are the same in every process: a pool worker's, at one op thread, too."""
+    rows = {}
+    for threads in (1, 2, 3):
+        use_op_threads(monkeypatch, threads, chunk)
+        rows[threads] = {n: ad.BatchSplit(n).rows for n in (1, 2, 7, 8, 13, 32, 100)}
+    assert rows[1] == rows[2] == rows[3]
 
 
 def traced_step_peak(monkeypatch, chunk):
-    """Peak traced bytes of one B=8 training step at one op thread."""
+    """Peak traced bytes of one B=16 training step at one op thread."""
     use_op_threads(monkeypatch, 1, chunk)
     rng = np.random.default_rng(0)
-    audio = rng.standard_normal((8, 100, 64))
-    labels = (rng.random((8, 10)) < 0.3).astype(np.float64)
+    audio = rng.standard_normal((16, 200, 64))
+    labels = (rng.random((16, 10)) < 0.3).astype(np.float64)
     model = M.CsnModel(M.CsnConfig(), seed=0)
     tracemalloc.start()
     try:
@@ -118,7 +153,8 @@ def traced_step_peak(monkeypatch, chunk):
 
 def test_chunks_bound_a_steps_memory(monkeypatch):
     """Each chunk's tape is freed before the next chunk runs, so 2-row
-    chunks hold a quarter of a one-chunk step's activations."""
+    chunks hold a quarter of 8-row chunks' activations; each chunk's
+    parameter gradients are held until the join."""
     assert traced_step_peak(monkeypatch, 2) < traced_step_peak(monkeypatch, 8) / 2
 
 
@@ -213,7 +249,7 @@ def test_op_threads_keep_no_array_past_a_split(monkeypatch):
 
     x = np.ones((5, 4))
     freed = weakref.ref(x)
-    assert split.run(summing(x)) == [4.0, 8.0, 8.0]
+    assert split.run(summing(x)) == [4.0, 4.0, 4.0, 8.0]      # 5 rows in 4 chunks
     assert len(ad._executor.jobs) == 2
     del x
     assert freed() is None
@@ -225,27 +261,26 @@ class SliceFailure(Exception):
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
 def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
-    """One chunk raises while others wait for it at a gradient fold: chunk 1
-    in its forward pass, while chunk 2 waits for it in its backward pass, or
-    chunk 0 in its backward pass.  The caller gets the chunk's own
-    exception, and the op threads are free for the next batch."""
+    """One chunk raises while the others run: chunk 1 in its forward pass,
+    while chunk 2 runs on the next thread, or chunk 0 in its backward pass.
+    The caller gets the chunk's own exception, and the op threads are free
+    for the next batch."""
     use_op_threads(monkeypatch, 3)
     audio, _, labels = toy_data(7)
     model = toy_model("resnet")
     expected = model.predict_proba(audio)
     forward, backward = model.forward, ad.backward
-
-    def chunk_index():
-        return None if ad._local.chunk is None else ad._local.chunk[1]
+    # 7 rows in 2-row chunks: chunks 0 and 1 start at rows 0 and 1
+    assert [rows.start for rows in ad.BatchSplit(7).rows[:2]] == [0, 1]
 
     def failing_forward(*args, **kwargs):
-        if chunk_index() == 1:
-            time.sleep(0.2)         # chunk 2, on the next thread, reaches its first fold
+        if ad._local.chunk == 1:
+            time.sleep(0.2)         # chunk 2, on the next thread, runs meanwhile
             raise SliceFailure("chunk 1 forward")
         return forward(*args, **kwargs)
 
     def failing_backward(*args, **kwargs):
-        if chunk_index() == 0:
+        if ad._local.chunk == 0:
             raise SliceFailure("chunk 0 backward")
         return backward(*args, **kwargs)
 
@@ -258,21 +293,5 @@ def test_failing_slice_reraises_and_blocks_no_thread(monkeypatch, phase):
             model.loss_and_param_grads(audio, None, labels)
         model.forward, ad.backward = forward, backward
         assert np.array_equal(model.predict_proba(audio), expected)
-
-    assert run_in_child(child, timeout=60.0) == 0
-
-
-def test_slices_that_fold_out_of_step_raise(monkeypatch):
-    """A chunk that waits for a partial sum its predecessor never posts
-    raises once the predecessor has finished, rather than wait forever."""
-    use_op_threads(monkeypatch, 2)
-    split = ad.BatchSplit(4)
-
-    def fold_in_chunk_1_only(i):
-        return ad._batch_sum(np.ones((2, 3))) if i == 1 else None
-
-    def child():
-        with pytest.raises(StateError, match="different exchanges"):
-            split.run(fold_in_chunk_1_only)
 
     assert run_in_child(child, timeout=60.0) == 0

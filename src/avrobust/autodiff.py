@@ -21,14 +21,15 @@ per usable CPU; the model entry points run each chunk's whole forward
 pass and then its backward pass on its own tape before the thread takes
 its next chunk (numpy releases the GIL inside its kernels), so a step
 holds the arrays of one chunk per thread, not of the whole batch.  Each
-chunk's backward pass returns its own gradients, and the caller adds
-them in chunk order after the join.  Every product runs per clip, and
-dropout takes the chunk's rows of the whole batch's mask, so a chunk's
-outputs are exactly its rows of an unsplit call.  The chunk boundaries
-depend only on the batch size and ``_CHUNK``, so results are
-byte-identical at any op-thread count, in this process and in the
-forked workers of ``pipeline._map_on_workers`` (which run with one op
-thread); a gradient's bytes change with ``_CHUNK``.
+chunk's backward pass returns its own gradients, and the calling thread
+adds them to a running sum in chunk order as the chunks finish.  Every
+product runs per clip, and dropout takes the chunk's rows of the whole
+batch's mask, so a chunk's outputs are exactly its rows of an unsplit
+call.  The chunk boundaries depend only on the batch size and
+``_CHUNK``, so results are byte-identical at any op-thread count, in
+this process and in the forked workers of ``pipeline._map_on_workers``
+(which run with one op thread); a gradient's bytes change with
+``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -232,15 +233,24 @@ class BatchSplit:
     small (or ``n``, if fewer), so two op threads get equal shares.  It
     does not depend on the op-thread count: the chunk boundaries, and so
     the order in which a caller adds the chunks' gradients, are the same
-    in every process.
-    ``run(fn)`` calls ``fn(i)`` for every chunk ``i`` and returns the
-    results in chunk order: op thread ``t`` of ``k`` runs chunks ``t, t+k,
-    ...`` in order, thread 0 being the calling thread, and finishes each
-    chunk before it takes the next, so a thread holds one chunk's arrays
-    at a time.  An exception in any chunk re-raises in the caller, and no
-    thread starts a chunk after one failed.  ``rows[i]`` indexes chunk
-    ``i``'s rows.  A batch of one is one chunk: ``rows[0]`` takes the
-    whole input and ``fn(0)`` runs as an unsplit call.
+    in every process.  Above two op threads the chunks need not divide
+    evenly among the threads: a 32-row step (the default ``train`` and
+    ``attack`` batch) is four chunks, so at three op threads one thread
+    runs two of them and at five or more some threads sit idle.
+    Throughput above two CPUs has not been measured.
+    ``run(fn, take)`` calls ``fn(i)`` for every chunk ``i``: op thread
+    ``t`` of ``k`` runs chunks ``t, t+k, ...`` in order, thread 0 being
+    the calling thread, and finishes each chunk before it takes the next,
+    so a thread holds one chunk's arrays at a time.  The calling thread
+    passes the results to ``take`` in chunk order and drops them: after
+    each of its own chunks it takes every finished chunk that no
+    unfinished one precedes, and the rest once every thread is done, so
+    at one op thread no result waits.  Without ``take``, ``run`` returns
+    the results in chunk order.  An exception in any chunk re-raises in
+    the caller, and no thread starts a chunk after one failed.
+    ``rows[i]`` indexes chunk ``i``'s rows.  A batch of one is one chunk:
+    ``rows[0]`` takes the whole input and ``fn(0)`` runs as an unsplit
+    call.
 
     The chunks share no state but the failure flag.  Dropout, the one op
     that mixes rows of the batch in a forward pass, takes the chunk's
@@ -260,48 +270,59 @@ class BatchSplit:
             self.rows = [slice(bounds[i], bounds[i + 1]) for i in range(m)]
         self._failed = False
 
-    def run(self, fn):
+    def run(self, fn, take=None):
         global _executor
+        results = []
+        take = results.append if take is None else take
         m = len(self.rows)
-        if m == 1:
-            return [fn(0)]
         k = min(_OP_THREADS, m)
         if k > 1 and _executor is None:
             _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
-        futures = [_executor.submit(self._run_chunks, [fn], t, k) for t in range(1, k)]
+        done = [None] * m           # a chunk's (ok, result) until the caller takes it
+        futures = [_executor.submit(self._run_chunks, [fn], done, t, k) for t in range(1, k)]
+        taken = 0
         try:
-            outcomes = self._run_chunks([fn], 0, k)
+            for i in range(0, m, k):
+                self._run_chunk(fn, done, i)
+                while taken < m and done[taken] is not None and done[taken][0]:
+                    take(done[taken][1])
+                    done[taken] = None
+                    taken += 1
+        except BaseException:
+            self._failed = True
+            raise
         finally:
             wait(futures)
-        for f in futures:
-            outcomes.update(f.result())
-        for i in sorted(outcomes):
-            ok, value = outcomes[i]
-            if not ok:
-                raise value
-        return [outcomes[i][1] for i in range(m)]
+        for outcome in done[taken:]:
+            if outcome is not None and not outcome[0]:
+                raise outcome[1]
+        for i in range(taken, m):
+            take(done[i][1])
+            done[i] = None
+        return results
 
-    def _run_chunks(self, box, t, k):
+    def _run_chunks(self, box, done, t, k):
         # The op thread lets go of ``fn``, and so of the arrays it captures,
         # before its future completes, so the caller frees them, in program
         # order, once it drops its own references.
         fn = box.pop()
-        outcomes = {}
         try:
             for i in range(t, len(self.rows), k):
-                if self._failed:
-                    break
-                _local.chunk = self.rows[i].start
-                try:
-                    outcomes[i] = True, fn(i)
-                except BaseException as exc:     # noqa: BLE001 - re-raised by run()
-                    self._failed = True
-                    outcomes[i] = False, exc
-                finally:
-                    _local.chunk = None
+                self._run_chunk(fn, done, i)
         finally:
             del fn
-        return outcomes
+
+    def _run_chunk(self, fn, done, i):
+        if self._failed:
+            return
+        _local.chunk = self.rows[i].start
+        try:
+            done[i] = True, fn(i)
+        except BaseException as exc:         # noqa: BLE001 - re-raised by run()
+            self._failed = True
+            done[i] = False, exc
+        finally:
+            _local.chunk = None
 
 
 def _unbroadcast(grad, shape):

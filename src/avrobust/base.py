@@ -14,15 +14,14 @@ import numpy as np
 from .errors import DimensionError, ValidationError
 
 
-def check_array(x, name="array", ndim=None, dtype=np.float64, finite=True):
-    """Coerce to a non-empty ``dtype`` ndarray (None keeps x's), enforcing
-    dimensionality and, unless ``finite`` is false, finite values."""
+def check_array(x, name="array", ndim=None, dtype=np.float64):
+    """Coerce to a finite, non-empty ``dtype`` ndarray (None keeps x's), enforcing dimensionality."""
     arr = np.asarray(x, dtype=dtype)
     if ndim is not None and arr.ndim != ndim:
         raise DimensionError(f"{name} must be {ndim}-dimensional, got shape {arr.shape}")
     if arr.size == 0:
         raise ValidationError(f"{name} must not be empty")
-    if finite and not np.all(np.isfinite(arr)):
+    if not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name} contains NaN or Inf")
     return arr
 

@@ -18,7 +18,7 @@ import numpy as np
 
 from .base import check_array, check_binary_targets
 from .container import json_field
-from .errors import ConfigurationError, FormatError, ValidationError
+from .errors import ConfigurationError, DimensionError, FormatError, ValidationError
 
 __all__ = [
     "average_precision", "roc_auc", "normal_quantile", "d_prime",
@@ -211,11 +211,14 @@ def evaluate(model, audio, labels, video=None, perturbation=None,
 
     ``perturbation`` may be a (T,F) array or any object with a ``delta``
     attribute.  The whole split and the delta go to ``predict_proba`` in
-    one call, which checks the delta's shape, streams the split in chunks,
-    checks that each chunk's clips are finite and adds the delta to them.
+    one call, which checks the delta's shape, streams the split in chunks
+    and adds the delta to each chunk's clips; converting a chunk rejects
+    an empty split and a non-finite clip.
     Evaluation is deterministic: no dropout, fixed clip order.
     """
-    audio = check_array(audio, "audio features", ndim=3, dtype=None, finite=False)
+    audio = np.asarray(audio)
+    if audio.ndim != 3:
+        raise DimensionError(f"audio features must be 3-dimensional, got shape {audio.shape}")
     labels = check_binary_targets(labels)
     if labels.shape[0] != audio.shape[0]:
         raise ValidationError("labels row count does not match clip count")

@@ -241,9 +241,10 @@ def _loss_and_grads(split, probs_of, targets, wrt):
     Each chunk records its forward pass on its own tape and replays it at
     once, from its rows of the loss's gradient w.r.t. the probabilities,
     so its tape is freed before its op thread takes the next chunk.  Each
-    chunk's backward pass returns its share of the gradients of ``wrt``;
-    they are added in chunk order after the join, and the loss is taken
-    once, on the whole batch.
+    chunk's backward pass returns its share of the gradients of ``wrt``,
+    which the calling thread adds to a running sum in chunk order as the
+    chunks finish (``BatchSplit.run``).  The loss is taken once, on the
+    whole batch.
     """
     def chunk(i):
         rows = split.rows[i]
@@ -255,12 +256,17 @@ def _loss_and_grads(split, probs_of, targets, wrt):
         grad = ad.bce_grad(out.data, t, targets.size)
         return out.data, ad.backward(out, wrt, tape=tape, grad=grad)
 
-    chunks = split.run(chunk)
+    outs, grads = [], {}
+
+    def take(result):
+        out, more = result
+        outs.append(out)
+        for p in wrt:
+            grads[p] = grads[p] + more[p] if p in grads else more[p]
+
+    split.run(chunk, take)
     # not Tensor(): a non-finite probability must reach the loss, which reports it
-    probs = Tensor._wrap(np.concatenate([out for out, _ in chunks]), False)
-    grads = chunks[0][1]
-    for _, more in chunks[1:]:
-        grads = {p: grads[p] + more[p] for p in wrt}
+    probs = Tensor._wrap(np.concatenate(outs), False)
     return ad.bce_on_probs(probs, targets).item(), grads
 
 

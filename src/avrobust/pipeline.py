@@ -30,10 +30,10 @@ In this process the op threads carry the parallelism: the model entry
 points, the one path from a split into the model, cut each batch into
 chunks of a few rows, and each op thread runs its chunks' forward and
 backward passes, one chunk at a time and each on its own tape
-(``autodiff.BatchSplit``); the chunks' gradients are added in chunk
-order after the join.  The chunk boundaries depend only on the batch
-size, so every byte is the same at any op-thread count and in a worker
-as in this process; ``cli.main`` pins BLAS to one thread.  The entry points
+(``autodiff.BatchSplit``); this thread adds the chunks' gradients in
+chunk order as they finish.  The chunk boundaries depend only on the
+batch size, so every byte is the same at any op-thread count and in a
+worker as in this process; ``cli.main`` pins BLAS to one thread.  The entry points
 get the split's video whatever the model, and they check the universal
 delta and add it to each chunk; evaluation passes ``predict_proba`` the
 whole split in one call.  ``load_split`` fills one preallocated array

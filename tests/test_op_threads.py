@@ -135,11 +135,25 @@ def test_batch_split_ignores_the_op_thread_count(monkeypatch, chunk):
     assert rows[1] == rows[2] == rows[3]
 
 
+def test_split_takes_each_chunk_in_order_as_it_finishes(monkeypatch):
+    """The caller takes results in chunk order; at one op thread it takes
+    each chunk's before it runs the next, so no result waits for the join."""
+    for threads in (1, 3):
+        use_op_threads(monkeypatch, threads, chunk=2)
+        split = ad.BatchSplit(13)
+        events = []
+        split.run(lambda i: events.append(("run", i)) or i, lambda i: events.append(("take", i)))
+        m = len(split.rows)
+        assert [i for what, i in events if what == "take"] == list(range(m))
+        if threads == 1:
+            assert events == [(what, i) for i in range(m) for what in ("run", "take")]
+
+
 def traced_step_peak(monkeypatch, chunk):
     """Peak traced bytes of one B=16 training step at one op thread."""
     use_op_threads(monkeypatch, 1, chunk)
     rng = np.random.default_rng(0)
-    audio = rng.standard_normal((16, 200, 64))
+    audio = rng.standard_normal((16, 100, 64))
     labels = (rng.random((16, 10)) < 0.3).astype(np.float64)
     model = M.CsnModel(M.CsnConfig(), seed=0)
     tracemalloc.start()
@@ -152,9 +166,9 @@ def traced_step_peak(monkeypatch, chunk):
 
 
 def test_chunks_bound_a_steps_memory(monkeypatch):
-    """Each chunk's tape is freed before the next chunk runs, so 2-row
-    chunks hold a quarter of 8-row chunks' activations; each chunk's
-    parameter gradients are held until the join."""
+    """Each chunk's tape is freed before the next chunk runs, and its
+    parameter gradients are added to the running sum as it finishes, so
+    2-row chunks hold a quarter of 8-row chunks' activations."""
     assert traced_step_peak(monkeypatch, 2) < traced_step_peak(monkeypatch, 8) / 2
 
 

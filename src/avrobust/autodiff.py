@@ -16,20 +16,20 @@ a failed call never leaves a partial node on the tape.
 
 Each thread has its own tape stack, so op threads can record and
 replay tapes at once.  :class:`BatchSplit` cuts a batch into contiguous
-chunks of at most ``_CHUNK`` rows and deals them out to one op thread
-per usable CPU; the model entry points run each chunk's whole forward
-pass and then its backward pass on its own tape before the thread takes
-its next chunk (numpy releases the GIL inside its kernels), so a step
-holds the arrays of one chunk per thread, not of the whole batch.  Each
+chunks of at most ``_CHUNK`` rows, and the op threads, one per usable
+CPU, take the chunks in order from one queue.  The model entry points
+run each chunk's whole forward pass and then its backward pass on its
+own tape (numpy releases the GIL inside its kernels), so a step holds
+the arrays of one chunk per thread, not of the whole batch.  Each
 chunk's backward pass returns its own gradients, and the calling thread
-adds them to a running sum in chunk order as the chunks finish.  Every
+takes the results in chunk order and adds them to a running sum.  Every
 product runs per clip, and dropout takes the chunk's rows of the whole
 batch's mask, so a chunk's outputs are exactly its rows of an unsplit
-call.  The chunk boundaries depend only on the batch size and
-``_CHUNK``, so results are byte-identical at any op-thread count, in
-this process and in the forked workers of ``pipeline._map_on_workers``
-(which run with one op thread); a gradient's bytes change with
-``_CHUNK``.
+call.  The chunk boundaries depend only on the batch size, ``_CHUNK``
+and the chunk-count rule, so results are byte-identical at any
+op-thread count, in this process and in the forked workers of
+``pipeline._map_on_workers`` (which run with one op thread); a
+gradient's bytes change with ``_CHUNK``.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -213,7 +214,7 @@ def backward(output, params=None, *, tape, grad=None):
 
 _OP_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 _CHUNK = 8                  # most rows in one chunk; see ROADMAP item 7 for the measurement
-_executor = None            # ThreadPoolExecutor of _OP_THREADS - 1 threads, made on first split
+_executor = None            # ThreadPoolExecutor of _OP_THREADS threads, made on first split
 
 
 def _drop_executor():
@@ -230,35 +231,20 @@ class BatchSplit:
     """A batch of ``n`` rows in contiguous chunks of at most ``_CHUNK`` rows.
 
     The chunk count is the smallest even number that keeps chunks that
-    small (or ``n``, if fewer), so two op threads get equal shares.  It
-    does not depend on the op-thread count: the chunk boundaries, and so
-    the order in which a caller adds the chunks' gradients, are the same
-    in every process.  Above two op threads the chunks need not divide
-    evenly among the threads: a 32-row step (the default ``train`` and
-    ``attack`` batch) is four chunks, so at three op threads one thread
-    runs two of them and at five or more some threads sit idle.
-    Throughput above two CPUs has not been measured.
-    ``run(fn, take)`` calls ``fn(i)`` for every chunk ``i``: op thread
-    ``t`` of ``k`` runs chunks ``t, t+k, ...`` in order, thread 0 being
-    the calling thread, and finishes each chunk before it takes the next,
-    so a thread holds one chunk's arrays at a time.  The calling thread
-    passes the results to ``take`` in chunk order and drops them: after
-    each of its own chunks it takes every finished chunk that no
-    unfinished one precedes, and the rest once every thread is done, so
-    at one op thread no result waits.  Without ``take``, ``run`` returns
-    the results in chunk order.  An exception in any chunk re-raises in
-    the caller, and no thread starts a chunk after one failed.
-    ``rows[i]`` indexes chunk ``i``'s rows.  A batch of one is one chunk:
-    ``rows[0]`` takes the whole input and ``fn(0)`` runs as an unsplit
-    call.
+    small (or ``n``, if fewer), whatever the op-thread count, so the order
+    in which a caller adds the chunks' gradients is the same in every
+    process.  ``rows[i]`` indexes chunk ``i``'s rows; a batch of one is one
+    chunk, whose ``rows[0]`` takes the whole input.
+    ``run(fn, take)`` passes ``fn(i)`` for every chunk ``i`` to ``take`` in
+    chunk order (without ``take`` it returns the results in a list).  At
+    one op thread, or for one chunk, the calling thread runs the chunks in
+    order; otherwise the op threads take them in order from one queue.
+    After a failure, in a chunk or in ``take``, no chunk starts, and
+    ``run`` re-raises once the running ones have finished.
 
-    The chunks share no state but the failure flag.  Dropout, the one op
-    that mixes rows of the batch in a forward pass, takes the chunk's
-    rows of the whole batch's mask, so every output is exactly its rows
-    of an unsplit call as long as products run per clip (BLAS's result
-    for a row of a 2-D product depends on how many rows the call holds).
-    A gradient that reaches a tensor without the batch axis (a
-    parameter) is the chunk's share of the batch sum.
+    Dropout, the one op that mixes rows in a forward pass, takes the
+    chunk's rows of the whole batch's mask, so every output is exactly
+    its rows of an unsplit call as long as products run per clip.
     """
 
     def __init__(self, n):
@@ -268,59 +254,42 @@ class BatchSplit:
         else:
             bounds = [n * i // m for i in range(m + 1)]
             self.rows = [slice(bounds[i], bounds[i + 1]) for i in range(m)]
+        self._fn = None             # run's fn, which the op threads' jobs do not hold
         self._failed = False
 
     def run(self, fn, take=None):
         global _executor
         results = []
         take = results.append if take is None else take
-        m = len(self.rows)
-        k = min(_OP_THREADS, m)
-        if k > 1 and _executor is None:
-            _executor = ThreadPoolExecutor(_OP_THREADS - 1, thread_name_prefix="avrobust-op")
-        done = [None] * m           # a chunk's (ok, result) until the caller takes it
-        futures = [_executor.submit(self._run_chunks, [fn], done, t, k) for t in range(1, k)]
-        taken = 0
+        self._fn = fn
+        pending = deque()           # futures not yet taken, in chunk order
         try:
-            for i in range(0, m, k):
-                self._run_chunk(fn, done, i)
-                while taken < m and done[taken] is not None and done[taken][0]:
-                    take(done[taken][1])
-                    done[taken] = None
-                    taken += 1
+            if _OP_THREADS == 1 or len(self.rows) == 1:
+                for i in range(len(self.rows)):
+                    take(self._chunk(i))
+            else:
+                if _executor is None:
+                    _executor = ThreadPoolExecutor(_OP_THREADS, thread_name_prefix="avrobust-op")
+                pending.extend(_executor.submit(self._chunk, i) for i in range(len(self.rows)))
+                while pending:
+                    take(pending.popleft().result())
+        except BaseException:
+            self._failed = True
+            wait(pending)
+            raise
+        finally:
+            self._fn = None
+        return results
+
+    def _chunk(self, i):
+        if self._failed:
+            return None
+        _local.chunk = self.rows[i].start
+        try:
+            return self._fn(i)
         except BaseException:
             self._failed = True
             raise
-        finally:
-            wait(futures)
-        for outcome in done[taken:]:
-            if outcome is not None and not outcome[0]:
-                raise outcome[1]
-        for i in range(taken, m):
-            take(done[i][1])
-            done[i] = None
-        return results
-
-    def _run_chunks(self, box, done, t, k):
-        # The op thread lets go of ``fn``, and so of the arrays it captures,
-        # before its future completes, so the caller frees them, in program
-        # order, once it drops its own references.
-        fn = box.pop()
-        try:
-            for i in range(t, len(self.rows), k):
-                self._run_chunk(fn, done, i)
-        finally:
-            del fn
-
-    def _run_chunk(self, fn, done, i):
-        if self._failed:
-            return
-        _local.chunk = self.rows[i].start
-        try:
-            done[i] = True, fn(i)
-        except BaseException as exc:         # noqa: BLE001 - re-raised by run()
-            self._failed = True
-            done[i] = False, exc
         finally:
             _local.chunk = None
 

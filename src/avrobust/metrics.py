@@ -54,16 +54,9 @@ def roc_auc(scores, targets):
     n_neg = targets.shape[0] - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC undefined without both positive and negative samples")
-    order = np.argsort(scores, kind="stable")
-    ranks = np.empty(scores.shape[0])
-    sorted_scores = scores[order]
-    i = 0
-    while i < scores.shape[0]:
-        j = i
-        while j + 1 < scores.shape[0] and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0   # midrank, 1-based
-        i = j + 1
+    _, inverse, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    ends = np.cumsum(counts)                        # 1-based rank of each value's last tie
+    ranks = (ends - (counts - 1) / 2.0)[inverse]    # midrank
     u = ranks[targets == 1.0].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 

@@ -44,6 +44,8 @@ __all__ = [
     "save_checkpoint", "load_checkpoint",
 ]
 
+_STD_FLOOR = 1e-2       # least fitted input std, so a near-constant bin cannot blow up
+
 
 class FusionStage(str, Enum):
     AUDIO_ONLY = "audio_only"
@@ -122,20 +124,21 @@ class _ModelBase:
     def forward(self, audio, video=None, training=False, seed_base=0):
         raise NotImplementedError
 
-    def set_input_norm(self, mean, std, floor=1e-2):
+    def set_input_norm(self, mean, std):
         """Per-mel-bin standardization constants, fit once from training data.
 
         Applied inside the forward pass; the attack surface stays the
         raw log-mel features (a delta's effect per bin is scaled by
-        1/std of that bin, floored so near-constant bins cannot blow up).
+        1/std of that bin).
         """
         self.input_mean = np.asarray(mean, dtype=np.float64).reshape(-1)
-        std = np.asarray(std, dtype=np.float64).reshape(-1)
-        self.input_std = np.maximum(std, floor)
+        self.input_std = np.asarray(std, dtype=np.float64).reshape(-1)
 
-    def fit_input_norm(self, audio, floor=1e-2):
-        audio = np.asarray(audio, dtype=np.float64)
-        self.set_input_norm(audio.mean(axis=(0, 1)), audio.std(axis=(0, 1)), floor=floor)
+    def fit_input_norm(self, audio):
+        """Per-bin mean and std of a (B,T,F) split, the std floored at ``_STD_FLOOR``."""
+        audio = np.asarray(audio)
+        self.set_input_norm(audio.mean(axis=(0, 1), dtype=np.float64),
+                            np.maximum(audio.std(axis=(0, 1), dtype=np.float64), _STD_FLOOR))
 
     def _standardize(self, audio):
         if self.input_mean is None:
@@ -673,6 +676,8 @@ def load_checkpoint(path):
             raise FormatError(
                 f"tensor {name!r}: stored shape {list(arr.shape)} does not match "
                 f"index shape {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise FormatError(f"{source}: tensor {name!r} holds a non-finite value")
         arrays[name] = arr.astype(np.float64)
     for name, p in model.params.items():
         if name not in arrays:
@@ -686,8 +691,8 @@ def load_checkpoint(path):
     if norm is not None:
         # one entry per mel bin: _standardize runs before early fusion adds video bins
         model.set_input_norm(*(_bin_vector(norm, key, f"{source}, key 'input_norm'",
-                                           config.n_mels) for key in ("mean", "std")),
-                             floor=0.0)
+                                           config.n_mels, positive=key == "std")
+                               for key in ("mean", "std")))
     optimizer = None
     meta = json_field(index, "optimizer", source, dict, default=None)
     if meta is not None:
@@ -702,12 +707,16 @@ def load_checkpoint(path):
     return model, index, optimizer
 
 
-def _bin_vector(obj, key, source, bins):
-    """``obj[key]`` as a float64 vector of ``bins`` entries, else a ``FormatError``."""
+def _bin_vector(obj, key, source, bins, positive=False):
+    """``obj[key]`` as a float64 vector of ``bins`` finite entries, each > 0 when
+    ``positive``, else a ``FormatError``."""
     try:
         vector = np.asarray(json_field(obj, key, source, list), dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{source}: key {key!r} is not a list of numbers") from exc
     if vector.shape != (bins,):
         raise FormatError(f"{source}: key {key!r} holds {len(vector)} entries, not {bins}")
+    if not np.all(np.isfinite(vector)) or (positive and not np.all(vector > 0)):
+        what = "a finite number above 0" if positive else "a finite number"
+        raise FormatError(f"{source}: key {key!r} holds an entry that is not {what}")
     return vector

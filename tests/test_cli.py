@@ -479,6 +479,46 @@ class TestCheckpointIndexTypes:
         assert "i/o error:" in err and repr(key) in err and "Traceback" not in err
 
 
+def _poison_tensor(path, name, value):
+    """Write ``value`` over the first entry of the checkpoint's tensor ``name``."""
+    raw = bytearray(path.read_bytes())
+    (n,) = struct.unpack_from("<I", raw, 4)
+    entry = json.loads(raw[8:8 + n])["tensors"][name]
+    struct.pack_into("<d", raw, 8 + n + entry["offset"] + 8 + 8 * len(entry["shape"]), value)
+    path.write_bytes(bytes(raw))
+
+
+def _set_norm_entry(key, value):
+    """An edit of a checkpoint file that writes ``value`` over ``input_norm[key][3]``."""
+    def edit(index):
+        index["input_norm"][key][3] = value
+    return lambda path: _edit_checkpoint_index(path, edit)
+
+
+NON_FINITE_EDITS = {   # case -> (edit of the checkpoint file, the key the error names)
+    "input_norm-nan-mean": (_set_norm_entry("mean", float("nan")), "mean"),
+    "input_norm-negative-std": (_set_norm_entry("std", -1.0), "std"),
+    "input_norm-zero-std": (_set_norm_entry("std", 0.0), "std"),
+    "param-nan": (lambda p: _poison_tensor(p, "audio.conv1.w", float("nan")), "audio.conv1.w"),
+    "adam-inf": (lambda p: _poison_tensor(p, "adam.v.audio.proj.b", float("inf")),
+                 "adam.v.audio.proj.b"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_FINITE_EDITS))
+def test_non_finite_checkpoint_value_is_io_error(micro_copy, tmp_path, capsys, case):
+    _, workdir = micro_copy
+    edit, key = NON_FINITE_EDITS[case]
+    ckpt = tmp_path / "edited.ckpt"
+    shutil.copy(workdir / "model.ckpt", ckpt)
+    edit(ckpt)
+    assert main(["eval", "--config", str(workdir / "config.ini"), "--workdir",
+                 str(workdir), "--checkpoint", str(ckpt)]) == 3
+    err = capsys.readouterr().err
+    assert "i/o error:" in err and str(ckpt) in err and repr(key) in err
+    assert "Traceback" not in err
+
+
 SIDECAR_EDITS = {   # case -> (key, value written over it)
     "mask-list": ("mask", [1]),
     "mask-end-str": ("mask", {"f_lo": "a", "f_hi": 4, "t_lo": None, "t_hi": None}),

@@ -264,13 +264,40 @@ def test_op_threads_keep_no_array_past_a_split(monkeypatch):
     x = np.ones((5, 4))
     freed = weakref.ref(x)
     assert split.run(summing(x)) == [4.0, 4.0, 4.0, 8.0]      # 5 rows in 4 chunks
-    assert len(ad._executor.jobs) == 2
+    assert len(ad._executor.jobs) == 4                        # one job per chunk
     del x
     assert freed() is None
 
 
 class SliceFailure(Exception):
     pass
+
+
+def test_failing_take_reraises_and_starts_no_chunk(monkeypatch):
+    """``take`` raises on chunk 0's result while the op threads run later
+    chunks: the caller gets that exception once every started chunk has
+    finished, no chunk starts afterwards, and the next split runs normally."""
+    use_op_threads(monkeypatch, 2, chunk=1)
+    split = ad.BatchSplit(8)
+    started, finished = [], []
+
+    def chunk(i):
+        started.append(i)
+        time.sleep(0.1)
+        finished.append(i)
+        return i
+
+    def take(i):
+        raise SliceFailure(f"take {i}")
+
+    with pytest.raises(SliceFailure, match="take 0"):
+        split.run(chunk, take)
+    assert len(split.rows) == 8 and len(started) < 8
+    assert sorted(finished) == sorted(started)
+    count = len(started)
+    time.sleep(0.3)
+    assert len(started) == count
+    assert ad.BatchSplit(8).run(lambda i: i) == list(range(8))
 
 
 @pytest.mark.parametrize("phase", ["forward", "backward"])
